@@ -4,9 +4,6 @@
 #   make test         - regular build + full ctest suite
 #   make bench-codes  - build + run the code-layout A/B bench
 #                       (writes BENCH_codes.json in the repo root)
-#   make bench-exec   - build + run the eager-vs-factorized
-#                       materialization bench
-#                       (writes BENCH_materialization.json)
 #   make bench-obs    - build + run the observability overhead A/B
 #                       (writes BENCH_obs.json)
 #   make bench-wcoj   - build + run the binary vs WCOJ vs hybrid join
@@ -17,10 +14,6 @@
 #   make bench-server - build + run the open-loop query-server bench
 #                       over real sockets at 1/2/4/8 shards
 #                       (writes BENCH_server.json)
-#   make bench-sched  - build + run the fork-join vs work-stealing A/B:
-#                       uniform/skewed ParallelFor microbenches plus the
-#                       hot-shard server sweep at Zipf 0.6/0.9/1.2
-#                       (writes BENCH_sched.json)
 #   make verify-tsan  - ThreadSanitizer pass over the concurrency +
 #                       reach + exec + obs + wcoj + mqo + net + sched
 #                       tests (the Chase-Lev deque is the TSan-critical
@@ -28,20 +21,24 @@
 #   make verify-asan  - AddressSanitizer pass over the same labels
 #
 # verify-tsan / verify-asan are the one-command sanitizer gates for the
-# `concurrency`, `reach`, `exec`, `obs` and `obs2` ctest labels (buffer-pool /
-# code-cache hammer tests, code-layout round-trips, the multi-threaded
-# probe differentials, the eager-vs-factorized materialization
-# differentials and the metrics/trace suites with their 8-thread
-# exact-total checks): each maintains a separate instrumented tree
-# (./build-tsan, ./build-asan) so the regular build is never polluted
-# with -fsanitize flags.
+# `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`, `net` and
+# `sched` ctest labels (buffer-pool / code-cache hammer tests, code-layout
+# round-trips, the multi-threaded probe differentials, the factorized
+# executor's naive-oracle differentials at 1/4/8 threads and the
+# metrics/trace suites with their 8-thread exact-total checks): each
+# maintains a separate instrumented tree (./build-tsan, ./build-asan) so
+# the regular build is never polluted with -fsanitize flags.
+#
+# BENCH_materialization.json and BENCH_sched.json are historical
+# records: the benches that wrote them compared against baselines that
+# have since been deleted, so no target regenerates them.
 
 BUILD_DIR ?= build
 TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-codes bench-exec bench-obs bench-wcoj bench-multiquery bench-server bench-sched verify-tsan verify-asan
+.PHONY: build test bench-codes bench-obs bench-wcoj bench-multiquery bench-server verify-tsan verify-asan
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -53,10 +50,6 @@ test: build
 bench-codes: build
 	cd $(BUILD_DIR)/bench && ./bench_codes
 	cp $(BUILD_DIR)/bench/BENCH_codes.json BENCH_codes.json
-
-bench-exec: build
-	cd $(BUILD_DIR)/bench && ./bench_materialization
-	cp $(BUILD_DIR)/bench/BENCH_materialization.json BENCH_materialization.json
 
 bench-obs: build
 	cd $(BUILD_DIR)/bench && ./bench_obs_overhead
@@ -73,10 +66,6 @@ bench-multiquery: build
 bench-server: build
 	cd $(BUILD_DIR)/bench && ./bench_server
 	cp $(BUILD_DIR)/bench/BENCH_server.json BENCH_server.json
-
-bench-sched: build
-	cd $(BUILD_DIR)/bench && ./bench_sched
-	cp $(BUILD_DIR)/bench/BENCH_sched.json BENCH_sched.json
 
 verify-tsan:
 	cmake -B $(TSAN_BUILD_DIR) -S . -DFGPM_SANITIZE=thread

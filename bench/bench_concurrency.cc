@@ -1,10 +1,11 @@
 // Multi-threaded query-throughput benchmark for the de-serialized read
-// path (ISSUE 2): N worker threads issue queries against one shared
-// GraphDatabase, so all contention lands on the shared storage
-// structures — the buffer pool (sharded vs. the single-mutex
-// configuration; a 1-shard pool is behaviourally identical to the
-// pre-sharding pool) and the getCenters code cache (striped vs. one
-// stripe).
+// path: N worker threads issue queries against one shared GraphDatabase
+// (8 buffer-pool shards, 8 code-cache stripes, misses read outside the
+// shard latch), so all contention lands on the shared storage
+// structures — the buffer pool and the getCenters code cache. Each
+// workload reports aggregate throughput at 1/2/4/8 threads; the
+// committed BENCH_concurrency.json is the trajectory these cells are
+// compared against.
 //
 // Workloads:
 //  * reach — point reachability queries u ~> v answered from the
@@ -16,21 +17,14 @@
 //    hide the miss path entirely). The database is built once, saved,
 //    and reopened per configuration, so every pool starts cold; "hot"
 //    sizes the pool to ~94% of the probe working set and pre-warms it,
-//    "cold" gives it half the working set and no warmup. The
-//    single-latch pool blocks every reader for the full device latency
-//    on each miss, while the sharded pool keeps hits flowing and
-//    overlaps misses — this is the headline ">= 2x aggregate
-//    throughput at 8 threads" measurement.
+//    "cold" gives it half the working set and no warmup. The sharded
+//    pool keeps hits flowing and overlaps misses.
 //  * pattern — full DPS pattern queries on a fully resident pool (no
-//    simulated latency). CPU-bound, so on a single-core host the
-//    configurations tie by construction; the cells exist to show the
-//    sharded path costs nothing when there is no I/O to overlap, and
-//    to track scaling on multi-core hosts.
-//  * cache — the reach probes with the code cache on (striped vs one
-//    stripe), fully resident pool.
+//    simulated latency). CPU-bound: tracks scaling on multi-core hosts.
+//  * cache — the reach probes with the code cache on, fully resident
+//    pool, 8 threads.
 //
-// Results go to BENCH_concurrency.json so the perf trajectory is
-// machine-trackable from this PR onward.
+// Results go to BENCH_concurrency.json.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -57,7 +51,7 @@ const char* kDbFile = "bench_concurrency.fgpm";
 struct Cell {
   std::string workload;   // reach | pattern | cache
   std::string pool_mode;  // hot | cold | resident
-  std::string config;     // serial | sharded
+  std::string config = "sharded";
   unsigned threads = 0;
   size_t shards = 0;
   size_t stripes = 0;
@@ -95,16 +89,13 @@ Graph MakeLayeredGraph() {
   return g;
 }
 
-// serial = the pre-sharding single-mutex pool, faithfully: one shard
-// AND the latch held across disk reads; one cache stripe.
-std::unique_ptr<GraphDatabase> OpenDb(bool serial, size_t pool_bytes,
+std::unique_ptr<GraphDatabase> OpenDb(size_t pool_bytes,
                                       size_t cache_capacity,
                                       uint32_t latency_us) {
   GraphDatabaseOptions opts;
   opts.buffer_pool_bytes = pool_bytes;
-  opts.buffer_pool_shards = serial ? 1 : 8;
-  opts.code_cache_stripes = serial ? 1 : 8;
-  opts.buffer_pool_latch_across_io = serial;
+  opts.buffer_pool_shards = 8;
+  opts.code_cache_stripes = 8;
   opts.code_cache_capacity = cache_capacity;
   auto db = GraphDatabase::Open(kDbFile, opts);
   FGPM_CHECK(db.ok());
@@ -203,25 +194,23 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> kThreads = {1, 2, 4, 8};
   std::vector<Cell> cells;
 
-  // Build once (serial config; construction is not what is measured),
-  // save, and reopen per configuration below so pools start cold. This
-  // first matcher also serves the serial pattern cells.
+  // Build once, save, and reopen per pool mode below so pools start
+  // cold. This matcher also serves the pattern cells.
   GraphDatabaseOptions build_opts;
   build_opts.buffer_pool_bytes = kBigPool;
-  build_opts.buffer_pool_shards = 1;
-  build_opts.code_cache_stripes = 1;
-  build_opts.buffer_pool_latch_across_io = true;
+  build_opts.buffer_pool_shards = 8;
+  build_opts.code_cache_stripes = 8;
   build_opts.code_cache_capacity = 16384;
-  auto matcher_serial = GraphMatcher::Create(&g, build_opts);
-  FGPM_CHECK(matcher_serial.ok());
-  FGPM_CHECK((*matcher_serial)->db().Save(kDbFile).ok());
+  auto matcher = GraphMatcher::Create(&g, build_opts);
+  FGPM_CHECK(matcher.ok());
+  FGPM_CHECK((*matcher)->db().Save(kDbFile).ok());
 
   // The reach probe working set: distinct pages a full sweep of
   // getCenters touches, counted as cold misses on a fresh open with a
   // pool big enough to never evict.
   size_t working_set = 0;
   {
-    auto db = OpenDb(true, kBigPool, /*cache=*/0, /*latency_us=*/0);
+    auto db = OpenDb(kBigPool, /*cache=*/0, /*latency_us=*/0);
     WarmReach(g, *db, 1);
     working_set = db->buffer_pool()->stats().misses;
   }
@@ -233,39 +222,28 @@ int main(int argc, char** argv) {
       "frames, disk latency %u us\n",
       working_set, kHotFrames, kColdFrames, kDiskLatencyUs);
 
-  // --- reach: hot and cold pool, serial vs sharded --------------------
+  // --- reach: hot and cold pool ---------------------------------------
   for (const char* pool_mode : {"hot", "cold"}) {
     bool hot = std::string(pool_mode) == "hot";
     size_t frames = hot ? kHotFrames : kColdFrames;
-    for (const char* config : {"serial", "sharded"}) {
-      bool serial = std::string(config) == "serial";
-      auto db = OpenDb(serial, frames * kPageSize, /*cache=*/0, kDiskLatencyUs);
-      if (hot) WarmReach(g, *db, 2);  // cold runs straight from the open
-      for (unsigned t : kThreads) {
-        Cell c = RunWindow(t, window_ms, db.get(),
-                           [&](Rng& rng) { ReachQuery(g, *db, rng); });
-        c.workload = "reach";
-        c.pool_mode = pool_mode;
-        c.config = config;
-        c.disk_latency_us = kDiskLatencyUs;
-        std::printf(
-            "reach   %-4s %-7s t=%u  shards=%zu  hit=%.3f  %9.0f q/s\n",
-            pool_mode, config, t, c.shards, c.hit_rate, c.qps);
-        std::fflush(stdout);
-        cells.push_back(c);
-      }
+    auto db = OpenDb(frames * kPageSize, /*cache=*/0, kDiskLatencyUs);
+    if (hot) WarmReach(g, *db, 2);  // cold runs straight from the open
+    for (unsigned t : kThreads) {
+      Cell c = RunWindow(t, window_ms, db.get(),
+                         [&](Rng& rng) { ReachQuery(g, *db, rng); });
+      c.workload = "reach";
+      c.pool_mode = pool_mode;
+      c.disk_latency_us = kDiskLatencyUs;
+      std::printf("reach   %-4s t=%u  shards=%zu  hit=%.3f  %9.0f q/s\n",
+                  pool_mode, t, c.shards, c.hit_rate, c.qps);
+      std::fflush(stdout);
+      cells.push_back(c);
     }
   }
 
   // --- pattern: fully resident pool, no simulated latency -------------
-  GraphDatabaseOptions sharded_opts = build_opts;
-  sharded_opts.buffer_pool_shards = 8;
-  sharded_opts.code_cache_stripes = 8;
-  auto matcher_sharded = GraphMatcher::Create(&g, sharded_opts);
-  FGPM_CHECK(matcher_sharded.ok());
-  for (const char* config : {"serial", "sharded"}) {
-    GraphMatcher& m = std::string(config) == "serial" ? **matcher_serial
-                                                      : **matcher_sharded;
+  {
+    GraphMatcher& m = **matcher;
     GraphDatabase& db = m.db();
     db.set_code_cache_enabled(false);
     Pattern pattern = *Pattern::Parse("L0->L2; L2->L1");
@@ -273,63 +251,33 @@ int main(int argc, char** argv) {
     FGPM_CHECK(plan.ok());
     for (unsigned t : kThreads) {
       Cell c = RunWindow(t, window_ms, &db, [&](Rng&) {
-        thread_local Executor* exec = nullptr;
-        if (exec == nullptr) {
-          static thread_local Executor owned(&db, ExecOptions{.num_threads = 1});
-          exec = &owned;
-        }
-        auto res = exec->Execute(pattern, *plan);
+        static thread_local Executor exec(&db, ExecOptions{.num_threads = 1});
+        auto res = exec.Execute(pattern, *plan);
         FGPM_CHECK(res.ok());
         FGPM_CHECK(res->stats.result_rows > 0);
       });
       c.workload = "pattern";
       c.pool_mode = "resident";
-      c.config = config;
-      std::printf("pattern res  %-7s t=%u  shards=%zu  %13.1f q/s\n", config,
-                  t, c.shards, c.qps);
+      std::printf("pattern res  t=%u  shards=%zu  %13.1f q/s\n", t, c.shards,
+                  c.qps);
       std::fflush(stdout);
       cells.push_back(c);
     }
   }
 
   // --- cache: reach probes with the striped code cache on -------------
-  for (const char* config : {"serial", "sharded"}) {
-    bool serial = std::string(config) == "serial";
-    auto db = OpenDb(serial, kBigPool, /*cache=*/16384, /*latency_us=*/0);
+  {
+    auto db = OpenDb(kBigPool, /*cache=*/16384, /*latency_us=*/0);
     WarmReach(g, *db, 2);
     Cell c = RunWindow(8, window_ms, db.get(),
                        [&](Rng& rng) { ReachQuery(g, *db, rng); });
     c.workload = "cache";
     c.pool_mode = "resident";
-    c.config = config;
-    std::printf("cache   res  %-7s t=8  stripes=%zu  %10.0f q/s\n", config,
-                c.stripes, c.qps);
+    std::printf("cache   res  t=8  stripes=%zu  %10.0f q/s\n", c.stripes,
+                c.qps);
     cells.push_back(c);
   }
   std::remove(kDbFile);
-
-  auto find_qps = [&](const char* workload, const char* pool_mode,
-                      const char* config, unsigned t) {
-    for (const Cell& c : cells) {
-      if (c.workload == workload && c.pool_mode == pool_mode &&
-          c.config == config && c.threads == t) {
-        return c.qps;
-      }
-    }
-    return 0.0;
-  };
-  double hot8 = find_qps("reach", "hot", "sharded", 8) /
-                find_qps("reach", "hot", "serial", 8);
-  double cold8 = find_qps("reach", "cold", "sharded", 8) /
-                 find_qps("reach", "cold", "serial", 8);
-  double pattern8 = find_qps("pattern", "resident", "sharded", 8) /
-                    find_qps("pattern", "resident", "serial", 8);
-  double cache8 = find_qps("cache", "resident", "sharded", 8) /
-                  find_qps("cache", "resident", "serial", 8);
-  std::printf(
-      "\nsharded/serial aggregate throughput at 8 threads: reach-hot %.2fx, "
-      "reach-cold %.2fx, pattern %.2fx, cache-on %.2fx\n",
-      hot8, cold8, pattern8, cache8);
 
   FILE* f = std::fopen("BENCH_concurrency.json", "w");
   FGPM_CHECK(f != nullptr);
@@ -352,12 +300,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(c.queries), c.elapsed_ms, c.hit_rate,
         c.qps, i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"speedup_sharded_vs_serial_t8\": {\"reach_hot\": %.2f, "
-               "\"reach_cold\": %.2f, \"pattern_resident\": %.2f, "
-               "\"cache_on\": %.2f}\n}\n",
-               hot8, cold8, pattern8, cache8);
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_concurrency.json\n");
   return 0;

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
     WallTimer build_timer;
     GraphDatabase db;
     FGPM_CHECK(db.Build(gc.g).ok());
-    std::printf("%s: %u nodes, %llu edges (db build %.0f ms)\n", gc.name,
+    std::printf("%s: %zu nodes, %llu edges (db build %.0f ms)\n", gc.name,
                 gc.g.NumNodes(), (unsigned long long)gc.g.NumEdges(),
                 build_timer.ElapsedMillis());
     acyclic_identical = acyclic_identical && AcyclicPlansIdentical(db);

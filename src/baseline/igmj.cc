@@ -190,6 +190,9 @@ Result<MatchResult> IntDpEngine::Match(const Pattern& pattern) {
         }
         break;
       }
+      case StepKind::kWcojBind:
+        // OptimizeDp plans binary R-joins only; IGMJ has no bind.
+        return Status::InvalidArgument("IGMJ cannot execute a WCOJ bind step");
     }
     if (rows.empty() && !schema.empty()) break;
   }

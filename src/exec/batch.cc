@@ -94,8 +94,7 @@ Status BuildSeed(const GraphDatabase& db, const BatchQuery& leader,
 // (bound label, other label, direction) — unique because patterns
 // reject duplicate edges.
 Status TranslateSeed(const TemporalTable& seed, const BatchQuery& leader,
-                     const BatchQuery& member, Materialization mode,
-                     TemporalTable* out) {
+                     const BatchQuery& member, TemporalTable* out) {
   std::unordered_map<LabelId, PatternNodeId> member_node_of;
   for (PatternNodeId i = 0; i < member.pattern->num_nodes(); ++i) {
     member_node_of[member.node_labels[i]] = i;
@@ -133,7 +132,6 @@ Status TranslateSeed(const TemporalTable& seed, const BatchQuery& leader,
     out->pending().push_back(
         {medge, slot.bound_is_source, slot.pool, slot.row_index});
   }
-  (void)mode;
   return Status::OK();
 }
 
@@ -141,13 +139,10 @@ Status TranslateSeed(const TemporalTable& seed, const BatchQuery& leader,
 
 Status ExecuteBatch(const GraphDatabase& db,
                     const std::vector<BatchQuery>& queries,
-                    const ExecOptions& options, ThreadPool* pool,
+                    ThreadPool* pool,
                     BatchScratch* scratch, ExecScratch* seed_scratch,
                     std::vector<MatchResult>* results, BatchExecStats* stats) {
   results->assign(queries.size(), MatchResult{});
-  const bool factorized =
-      options.materialization == Materialization::kFactorized;
-  const Materialization mode = options.materialization;
 
   // Group shareable openings; trivial queries resolve inline.
   std::vector<std::string> group_order;
@@ -205,7 +200,7 @@ Status ExecuteBatch(const GraphDatabase& db,
     const size_t seed_steps = seed_steps_of[leader_qi];
 
     WallTimer seed_timer;
-    TemporalTable seed(mode);
+    TemporalTable seed;
     OperatorStats seed_stats;
     seed_scratch->BeginQuery();
     FGPM_RETURN_IF_ERROR(BuildSeed(db, leader, seed_steps, pool,
@@ -224,14 +219,14 @@ Status ExecuteBatch(const GraphDatabase& db,
         const BatchQuery& q = queries[qi];
         MatchResult& res = (*results)[qi];
         WallTimer t;
-        TemporalTable table(mode);
-        Status s = TranslateSeed(seed, leader, q, mode, &table);
+        TemporalTable table;
+        Status s = TranslateSeed(seed, leader, q, &table);
         if (s.ok()) {
           ExecScratch& scr = tail_scratch[wk < workers ? wk : 0];
           scr.BeginQuery();
           uint64_t wcoj_binds = 0;
           s = RunPlanSteps(db, *q.pattern, q.node_labels, *q.plan,
-                           seed_steps, factorized, &table, &res.stats,
+                           seed_steps, &table, &res.stats,
                            /*trace=*/nullptr, /*query_span=*/0,
                            /*pool=*/nullptr, &scr, &wcoj_binds);
         }

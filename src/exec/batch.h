@@ -102,7 +102,7 @@ struct BatchScratch {
 // scratch() (idle while the batch runs); null builds a call-local one.
 Status ExecuteBatch(const GraphDatabase& db,
                     const std::vector<BatchQuery>& queries,
-                    const ExecOptions& options, ThreadPool* pool,
+                    ThreadPool* pool,
                     BatchScratch* scratch, ExecScratch* seed_scratch,
                     std::vector<MatchResult>* results, BatchExecStats* stats);
 

@@ -140,7 +140,7 @@ bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
 
 Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, const Plan& plan,
-                    size_t start_step, bool factorized, TemporalTable* table,
+                    size_t start_step, TemporalTable* table,
                     ExecStats* stats, QueryTrace* trace, uint32_t query_span,
                     ThreadPool* pool, ExecScratch* scratch,
                     uint64_t* wcoj_binds) {
@@ -149,7 +149,7 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
     const PlanStep& step = steps[si];
     size_t absorbed = 0;
     std::vector<uint32_t> fused;
-    if (factorized && step.kind == StepKind::kFetch) {
+    if (step.kind == StepKind::kFetch) {
       // Fuse the consecutive selects that touch the node this fetch
       // binds (their other endpoint is bound already — plans
       // validate selects): the predicates run on candidates inside
@@ -340,12 +340,10 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
             result.rows.push_back({rec.node});
           }));
     } else {
-      TemporalTable table(options_.materialization);
-      const bool factorized =
-          options_.materialization == Materialization::kFactorized;
+      TemporalTable table;
       scratch_.BeginQuery();
       FGPM_RETURN_IF_ERROR(RunPlanSteps(
-          *db_, pattern, node_labels, plan, 0, factorized, &table,
+          *db_, pattern, node_labels, plan, 0, &table,
           &result.stats, trace.get(), query_span, pool_.get(), &scratch_,
           &wcoj_binds));
       MaterializeTable(pattern, table, &result);

@@ -66,18 +66,14 @@ struct MatchResult {
 // Exact-key hits are always served from the cache regardless.
 enum class ResultCachePolicy : uint8_t { kCostBased, kAlways, kNever };
 
-// Intra-operator parallelism + materialization knobs. Result rows are
-// identical for every thread count and both materialization modes (see
-// operators.h / temporal_table.h); elapsed time and memo-affected
+// Executor knobs. Result rows are identical for every thread count
+// (see operators.h / temporal_table.h); elapsed time and memo-affected
 // counters (code_fetches, reach_memo_*) may differ because reachability
 // memos are per-worker. num_threads == 1 keeps the sequential code
-// paths.
+// paths. Intermediate results are always factorized (delta columns,
+// rows materialized once at output, selects fused into fetches).
 struct ExecOptions {
   unsigned num_threads = 1;  // 0 = one worker per hardware thread
-  // Intermediate-result representation. kFactorized defers row copies
-  // to output via delta columns and enables select fusion into fetch;
-  // kEager is the paper-layout A/B baseline.
-  Materialization materialization = Materialization::kFactorized;
   // GraphMatcher plan-cache bound (entries). 0 disables caching.
   size_t plan_cache_capacity = 256;
   // Semantic result cache (GraphMatcher): answer a repeated query by
@@ -115,7 +111,7 @@ struct ExecOptions {
 // a shared seed table at start_step > 0.
 Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, const Plan& plan,
-                    size_t start_step, bool factorized, TemporalTable* table,
+                    size_t start_step, TemporalTable* table,
                     ExecStats* stats, QueryTrace* trace, uint32_t query_span,
                     ThreadPool* pool, ExecScratch* scratch,
                     uint64_t* wcoj_binds);

@@ -5,9 +5,9 @@
 //                  temporal table with shared getCenters fetches
 //                  (Remark 3.1).
 //   ApplyFetch   — Algorithm 2 Fetch: expands pending centers through
-//                  the cluster-based R-join index. On a factorized
-//                  table the expansion appends a delta column instead
-//                  of re-widening the row block, expands each distinct
+//                  the cluster-based R-join index. The expansion
+//                  appends a delta column instead of re-widening the
+//                  row block (factorized tables), expands each distinct
 //                  pending-pool entry once, and can evaluate fused
 //                  select edges on candidates *before* they are
 //                  appended (fused_selects).
@@ -63,7 +63,7 @@ struct OperatorStats {
   uint64_t reach_memo_hits = 0;
   // Materialization accounting: full-width rows written into temporal
   // storage or the result set, and the NodeId-copy bytes the factorized
-  // representation avoided relative to eager re-widening.
+  // representation avoided relative to re-widening a row-major block.
   uint64_t rows_materialized = 0;
   uint64_t copy_bytes_avoided = 0;
   // WCOJ bind accounting: k-way intersection work (candidates tested
@@ -171,9 +171,9 @@ Status ApplyFilter(const GraphDatabase& db, const Pattern& pattern,
                    OperatorStats* stats, ThreadPool* pool = nullptr,
                    ExecScratch* scratch = nullptr);
 
-// `fused_selects` (factorized tables only): pattern edges whose other
-// endpoint is already bound, evaluated per candidate inside the
-// expansion loop — rejected candidates are never appended.
+// `fused_selects`: pattern edges whose other endpoint is already bound,
+// evaluated per candidate inside the expansion loop — rejected
+// candidates are never appended.
 Status ApplyFetch(const GraphDatabase& db, const Pattern& pattern,
                   const std::vector<LabelId>& node_labels, uint32_t edge,
                   bool bound_is_source, TemporalTable* table,

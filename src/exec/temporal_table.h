@@ -2,18 +2,13 @@
 // rows may carry *pending* center sets produced by R-semijoins whose
 // Fetch has not run yet (the separation DPS exploits, Section 4.2).
 //
-// Two row representations share this class:
-//
-//   kEager      — one row-major NodeId block (`rows_`), re-widened and
-//                 fully copied by every fetch. The paper's layout; kept
-//                 as the A/B baseline.
-//   kFactorized — the row-major block holds only the columns bound
-//                 before the first fetch; each fetch appends a
-//                 DeltaColumn of (parent_row, new_node) pairs that
-//                 reference the previous level. A chain of fetches
-//                 forms a factorized prefix tree; full rows exist only
-//                 when GatherColumn / Flatten materializes them (once,
-//                 at output).
+// Rows are factorized: a row-major NodeId block (`rows_`) holds only
+// the columns bound before the first fetch; each fetch (or WCOJ bind)
+// appends a DeltaColumn of (parent_row, new_node) pairs that reference
+// the previous level. A chain of fetches forms a factorized prefix
+// tree; full rows exist only when GatherColumn / Flatten materializes
+// them (once, at output). The paper's full-width row-major layout
+// would instead copy every row's prefix at every fetch.
 //
 // NumRows() always refers to the deepest level — the logical row count.
 // Filters and selects compact only the deepest level; earlier levels
@@ -32,19 +27,8 @@
 
 namespace fgpm {
 
-// Intermediate-result policy, plumbed through ExecOptions.
-enum class Materialization : uint8_t {
-  kEager,       // row-major copies at every join (baseline)
-  kFactorized,  // delta columns, rows materialized at output
-};
-
 class TemporalTable {
  public:
-  TemporalTable() = default;
-  explicit TemporalTable(Materialization mode) : mode_(mode) {}
-
-  Materialization mode() const { return mode_; }
-
   // One fetch level of the factorized representation: row r of this
   // level extends row parent[r] of the previous level with value[r]
   // bound to pattern node `node`.
@@ -64,13 +48,13 @@ class TemporalTable {
     return rows_.size() / std::max<size_t>(1, schema_.size());
   }
 
-  // O(1) on the eager block; O(chain depth) through delta parents.
+  // O(1) on the base block; O(chain depth) through delta parents.
   NodeId At(size_t row, size_t col) const;
 
   // Column index of a pattern node, if bound.
   std::optional<size_t> ColumnOf(PatternNodeId node) const;
 
-  // --- eager construction (used by operators) ----------------------------
+  // --- base-block construction (used by operators) -----------------------
   // Base columns/rows; delta levels must not exist yet when appending.
   void AddColumn(PatternNodeId node) { schema_.push_back(node); }
   void AppendRow(const std::vector<NodeId>& row) {
@@ -143,7 +127,6 @@ class TemporalTable {
                                        bool bound_is_source) const;
 
  private:
-  Materialization mode_ = Materialization::kEager;
   std::vector<PatternNodeId> schema_;
   std::vector<NodeId> rows_;
   std::vector<DeltaColumn> deltas_;

@@ -177,8 +177,7 @@ GraphDatabase::GraphDatabase(GraphDatabaseOptions options)
       pool_(std::make_unique<BufferPool>(
           disk_.get(),
           BufferPoolOptions{options.buffer_pool_bytes,
-                            options.buffer_pool_shards,
-                            options.buffer_pool_latch_across_io})) {
+                            options.buffer_pool_shards})) {
   cache_enabled_ = options_.code_cache_capacity > 0;
   if (cache_enabled_) {
     num_stripes_ = ResolveStripes(options_.code_cache_stripes,

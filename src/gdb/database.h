@@ -51,10 +51,6 @@ struct GraphDatabaseOptions {
   // shared_mutex, so concurrent getCenters probes only contend when two
   // workers hash to the same stripe.
   size_t code_cache_stripes = 0;
-  // Hold the buffer-pool shard latch across disk reads (the pre-sharding
-  // pool's behavior). Only bench_concurrency sets this, as the A/B
-  // baseline for the de-serialized miss path.
-  bool buffer_pool_latch_across_io = false;
   // Code length at which a center's in()/out() code gets a chunked
   // bitmap sidecar in the labeling (hub x hub probes become word-AND
   // loops). 0 keeps every probe on the flat sorted arrays. See

@@ -26,13 +26,15 @@ struct CostParams {
   double io_page_scan = 1.0;      // IO_S
   double cpu_per_tuple = 0.001;   // charge for producing an output tuple
   // Charge per NodeId copied when an operator (re)writes its output
-  // rows into temporal storage. Under eager materialization a step
-  // writing R rows of width W copies R*W ids; a factorized fetch writes
-  // only the (parent, value) delta pair regardless of W.
+  // rows into temporal storage. A step writing R full-width rows of
+  // width W copies R*W ids; a factorized fetch writes only the
+  // (parent, value) delta pair regardless of W.
   double cpu_per_id_copy = 0.0002;
-  // Executor materialization mode the plan will run under; makes DP/DPS
-  // stop over-charging wide intermediates when fetches append delta
-  // columns instead of re-widening.
+  // True charges fetches as delta-column appends, as the executor runs
+  // them (GraphMatcher always plans this way), so DP/DPS stop
+  // over-charging wide intermediates. False charges full-width row
+  // writes, the paper's temporal-table model, which INT-DP's IGMJ
+  // really executes.
   bool factorized = false;
   // WCOJ vertex binds: CPU charged per driver candidate tested against
   // another constraint set (the k-way intersection / reach probes), and

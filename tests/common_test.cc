@@ -232,7 +232,9 @@ TEST(SortedVectorTest, GallopDifferentialAdversarialShapes) {
         for (size_t i = 0; i < a.size(); i += 3) sub.push_back(a[i]);
         EXPECT_EQ(SortedIntersect(a, sub), sub);
         EXPECT_EQ(SortedIntersect(sub, a), sub);
-        if (!sub.empty()) EXPECT_TRUE(SortedIntersects(sub, a));
+        if (!sub.empty()) {
+          EXPECT_TRUE(SortedIntersects(sub, a));
+        }
       }
     }
   }

@@ -124,10 +124,10 @@ TEST(ConcurrencyHammer, PinnedFramesSurviveEightThreads) {
   RunPinnedHammer(BufferPoolOptions{128 * kPageSize, 4}, 4, 4000);
 }
 
-TEST(ConcurrencyHammer, PinnedFramesSurviveLegacyLatchedIo) {
-  // Same storm against the pre-sharding miss path (latch held across
-  // the disk read), which bench_concurrency uses as its A/B baseline.
-  RunPinnedHammer(BufferPoolOptions{128 * kPageSize, 4, true}, 4, 1500);
+TEST(ConcurrencyHammer, PinnedFramesSurviveSingleShard) {
+  // Same storm with every page on one shard: all misses, same-page
+  // loads and evictions race on a single latch and LRU domain.
+  RunPinnedHammer(BufferPoolOptions{128 * kPageSize, 1}, 1, 1500);
 }
 
 TEST(ConcurrencyHammer, StatsTotalsExactUnderConcurrentReaders) {

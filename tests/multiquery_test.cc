@@ -16,12 +16,6 @@
 namespace fgpm {
 namespace {
 
-Pattern P(std::string_view text) {
-  auto p = Pattern::Parse(text);
-  EXPECT_TRUE(p.ok()) << text << ": " << p.status();
-  return *p;
-}
-
 std::unique_ptr<GraphMatcher> MakeMatcher(const Graph& g, ExecOptions eo) {
   auto m = GraphMatcher::Create(&g, {}, eo);
   EXPECT_TRUE(m.ok()) << m.status();
