@@ -4,12 +4,15 @@
 #   make test         - regular build + full ctest suite
 #   make bench-codes  - build + run the code-layout A/B bench
 #                       (writes BENCH_codes.json in the repo root)
+#   make bench-concurrency - build + run the multi-threaded read-path
+#                       throughput bench at 1/2/4/8 threads
+#                       (writes BENCH_concurrency.json)
 #   make bench-obs    - build + run the observability overhead A/B
 #                       (writes BENCH_obs.json)
 #   make bench-wcoj   - build + run the binary vs WCOJ vs hybrid join
 #                       strategy bench (writes BENCH_wcoj.json)
-#   make bench-multiquery - build + run the Zipfian multi-client
-#                       result-cache + batching A/B
+#   make bench-multiquery - build + run the Zipfian multi-client A/B:
+#                       solo Match vs. MatchBatch with the result cache
 #                       (writes BENCH_multiquery.json)
 #   make bench-server - build + run the open-loop query-server bench
 #                       over real sockets at 1/2/4/8 shards
@@ -38,7 +41,7 @@ TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-codes bench-obs bench-wcoj bench-multiquery bench-server verify-tsan verify-asan
+.PHONY: build test bench-codes bench-concurrency bench-obs bench-wcoj bench-multiquery bench-server verify-tsan verify-asan
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -50,6 +53,10 @@ test: build
 bench-codes: build
 	cd $(BUILD_DIR)/bench && ./bench_codes
 	cp $(BUILD_DIR)/bench/BENCH_codes.json BENCH_codes.json
+
+bench-concurrency: build
+	cd $(BUILD_DIR)/bench && ./bench_concurrency
+	cp $(BUILD_DIR)/bench/BENCH_concurrency.json BENCH_concurrency.json
 
 bench-obs: build
 	cd $(BUILD_DIR)/bench && ./bench_obs_overhead

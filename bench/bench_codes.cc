@@ -1,20 +1,17 @@
-// Code-layout / intersection-kernel A/B benchmark (ISSUE 3):
+// Code-layout A/B benchmark:
 //
-//  * probe — raw Reaches probes against one labeling under four
-//    representations: the pre-PR nested vector-of-vectors layout with
-//    the seed merge kernel, the flat arena with the seed kernel
-//    (layout effect), the flat arena with the dispatched SIMD kernels
-//    (kernel effect), and the hybrid arena + chunked-bitmap sidecars
-//    (hub effect). Two probe mixes: leaf-heavy (uniform pairs, short
-//    codes) and hub-heavy (pairs from the top code-length decile, the
-//    regime the bitmap containers exist for). A deep grid DAG keeps hub
-//    codes long — grid reachability is the classic worst case for 2-hop
-//    label sizes.
+//  * probe — raw Reaches probes against one labeling under two
+//    representations: the flat arena with the dispatched SIMD kernels,
+//    and the hybrid arena + chunked-bitmap sidecars (hub effect). Two
+//    probe mixes: leaf-heavy (uniform pairs, short codes) and hub-heavy
+//    (pairs from the top code-length decile, the regime the bitmap
+//    containers exist for). A deep grid DAG keeps hub codes long —
+//    grid reachability is the classic worst case for 2-hop label sizes.
 //  * e2e — the Figure-6 DPS pattern suite on an XMark-like graph,
-//    baseline (seed kernel, no reachability memo, no bitmaps — the
-//    pre-PR execution behavior) vs optimized (dispatched kernels,
-//    per-worker memos, default bitmap threshold). Row sets are checked
-//    identical; only time may differ.
+//    baseline (no reachability memo, no bitmaps) vs optimized
+//    (per-worker memos, default bitmap threshold); both run the
+//    dispatched kernels. Row sets are checked identical; only time may
+//    differ.
 //
 // Results go to BENCH_codes.json.
 #include <algorithm>
@@ -23,10 +20,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/intersect_kernels.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/sorted_vector.h"
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "reach/two_hop.h"
@@ -58,45 +53,10 @@ Graph GridDag(uint32_t n) {
 
 struct ProbeCell {
   std::string mix;     // leaf | hub
-  std::string layout;  // nested-seed | flat-seed | flat-simd | hybrid
+  std::string layout;  // flat | hybrid
   double ns_per_probe = 0;
-  double speedup_vs_nested = 0;
+  double speedup_vs_flat = 0;
   uint64_t reachable = 0;  // probe checksum: identical across layouts
-};
-
-// The pre-PR representation: per-center heap-allocated code vectors,
-// probed with the seed merge kernel. Reconstructed from the labeling so
-// every layout answers the same cover.
-struct NestedCodes {
-  std::vector<std::vector<CenterId>> in, out;
-  std::vector<CenterId> scc_of;
-
-  explicit NestedCodes(const TwoHopLabeling& lab, const Graph& g) {
-    uint32_t nc = lab.num_centers();
-    in.resize(nc);
-    out.resize(nc);
-    for (CenterId c = 0; c < nc; ++c) {
-      auto ic = lab.CenterInCode(c), oc = lab.CenterOutCode(c);
-      in[c].assign(ic.begin(), ic.end());
-      out[c].assign(oc.begin(), oc.end());
-    }
-    scc_of.resize(g.NumNodes());
-    for (NodeId v = 0; v < g.NumNodes(); ++v) scc_of[v] = lab.CenterOf(v);
-  }
-
-  bool Reaches(NodeId u, NodeId v) const {
-    if (u == v) return true;
-    CenterId cu = scc_of[u], cv = scc_of[v];
-    if (cu == cv) return true;
-    return SortedIntersects(out[cu], in[cv]);
-  }
-
-  uint64_t Bytes() const {
-    uint64_t b = scc_of.size() * sizeof(CenterId);
-    for (const auto& v : in) b += sizeof(v) + v.size() * sizeof(CenterId);
-    for (const auto& v : out) b += sizeof(v) + v.size() * sizeof(CenterId);
-    return b;
-  }
 };
 
 // Measures one probe loop: `rounds` passes over `pairs`, best pass wins
@@ -187,17 +147,14 @@ int main(int argc, char** argv) {
                            hub_in[rng.NextBounded(hub_in.size())]);
   }
 
-  NestedCodes nested(lab, g);
-  const uint64_t nested_bytes = nested.Bytes();
   const uint64_t flat_bytes = lab.CodeBytes();
   lab.SetBitmapThreshold(kDefaultCodeBitmapThreshold);
   const uint64_t hybrid_bytes = lab.CodeBytes();
   const uint32_t hybrid_sidecars = lab.NumBitmapCodes();
   lab.SetBitmapThreshold(0);
-  std::printf(
-      "bytes/entry: nested %.2f, flat %.2f, hybrid %.2f (%u sidecars)\n",
-      double(nested_bytes) / double(cover), double(flat_bytes) / double(cover),
-      double(hybrid_bytes) / double(cover), hybrid_sidecars);
+  std::printf("bytes/entry: flat %.2f, hybrid %.2f (%u sidecars)\n",
+              double(flat_bytes) / double(cover),
+              double(hybrid_bytes) / double(cover), hybrid_sidecars);
 
   std::vector<ProbeCell> cells;
   struct Mix {
@@ -206,47 +163,35 @@ int main(int argc, char** argv) {
   };
   const Mix mixes[] = {{"leaf", &leaf_pairs}, {"hub", &hub_pairs}};
   for (const Mix& mix : mixes) {
-    double nested_ns = 0;
+    double flat_ns = 0;
     auto add = [&](const char* layout, double ns, uint64_t reach) {
       ProbeCell c;
       c.mix = mix.name;
       c.layout = layout;
       c.ns_per_probe = ns;
-      c.speedup_vs_nested = nested_ns > 0 ? nested_ns / ns : 1.0;
+      c.speedup_vs_flat = flat_ns > 0 ? flat_ns / ns : 1.0;
       c.reachable = reach;
       if (!cells.empty() && cells.back().mix == mix.name) {
         FGPM_CHECK(cells.back().reachable == reach);  // identical verdicts
       }
-      std::printf("probe %-4s %-11s %8.1f ns/probe  %5.2fx\n", c.mix.c_str(),
-                  layout, ns, c.speedup_vs_nested);
+      std::printf("probe %-4s %-6s %8.1f ns/probe  %5.2fx\n", c.mix.c_str(),
+                  layout, ns, c.speedup_vs_flat);
       std::fflush(stdout);
       cells.push_back(c);
     };
 
-    FGPM_CHECK(SetIntersectKernel(IntersectKernel::kSeed));
-    auto [ns0, r0] = TimeProbes(*mix.pairs, rounds, [&](NodeId u, NodeId v) {
-      return nested.Reaches(u, v);
-    });
-    nested_ns = ns0;
-    add("nested-seed", ns0, r0);
-
     lab.SetBitmapThreshold(0);
+    auto [ns0, r0] = TimeProbes(*mix.pairs, rounds, [&](NodeId u, NodeId v) {
+      return lab.Reaches(u, v);
+    });
+    flat_ns = ns0;
+    add("flat", ns0, r0);
+
+    lab.SetBitmapThreshold(kDefaultCodeBitmapThreshold);
     auto [ns1, r1] = TimeProbes(*mix.pairs, rounds, [&](NodeId u, NodeId v) {
       return lab.Reaches(u, v);
     });
-    add("flat-seed", ns1, r1);
-
-    FGPM_CHECK(SetIntersectKernel(IntersectKernel::kAuto));
-    auto [ns2, r2] = TimeProbes(*mix.pairs, rounds, [&](NodeId u, NodeId v) {
-      return lab.Reaches(u, v);
-    });
-    add("flat-simd", ns2, r2);
-
-    lab.SetBitmapThreshold(kDefaultCodeBitmapThreshold);
-    auto [ns3, r3] = TimeProbes(*mix.pairs, rounds, [&](NodeId u, NodeId v) {
-      return lab.Reaches(u, v);
-    });
-    add("hybrid", ns3, r3);
+    add("hybrid", ns1, r1);
     lab.SetBitmapThreshold(0);
   }
 
@@ -257,10 +202,8 @@ int main(int argc, char** argv) {
     FGPM_CHECK(false);
     return cells[0];
   };
-  const double hub_speedup = cell_of("hub", "hybrid").speedup_vs_nested;
-  const double leaf_speedup =
-      std::max(cell_of("leaf", "hybrid").speedup_vs_nested,
-               cell_of("leaf", "flat-simd").speedup_vs_nested);
+  const double hub_speedup = cell_of("hub", "hybrid").speedup_vs_flat;
+  const double leaf_speedup = cell_of("leaf", "hybrid").speedup_vs_flat;
 
   // --- end-to-end: Figure-6 DPS suite, baseline vs optimized -----------
   gen::XMarkOptions xopts;
@@ -277,8 +220,6 @@ int main(int argc, char** argv) {
       opts.code_bitmap_threshold = 0;
       opts.reach_cache_entries = 0;
     }
-    FGPM_CHECK(SetIntersectKernel(optimized ? IntersectKernel::kAuto
-                                            : IntersectKernel::kSeed));
     auto matcher = GraphMatcher::Create(&xg, opts);
     FGPM_CHECK(matcher.ok());
     E2eCell cell;
@@ -300,7 +241,6 @@ int main(int argc, char** argv) {
       }
       cell.total_ms += best;
     }
-    SetIntersectKernel(IntersectKernel::kAuto);
     std::printf("e2e %-9s: %8.2f ms over %zu queries, %llu rows "
                 "(memo %llu/%llu hits)\n",
                 name, cell.total_ms, patterns.size(),
@@ -315,7 +255,7 @@ int main(int argc, char** argv) {
   FGPM_CHECK(base_rows == opt_rows);  // identical query results
   const double e2e_speedup =
       opt_cell.total_ms > 0 ? base_cell.total_ms / opt_cell.total_ms : 0.0;
-  std::printf("\nhub-probe hybrid vs nested: %.2fx; leaf best: %.2fx; "
+  std::printf("\nhub-probe hybrid vs flat: %.2fx; leaf: %.2fx; "
               "e2e DPS baseline/optimized: %.2fx\n",
               hub_speedup, leaf_speedup, e2e_speedup);
 
@@ -326,21 +266,20 @@ int main(int argc, char** argv) {
                "  \"cover_entries\": %llu,\n"
                "  \"code_len_p50\": %u, \"code_len_p90\": %u, "
                "\"code_len_p99\": %u, \"code_len_max\": %u,\n"
-               "  \"bytes_per_entry\": {\"nested\": %.3f, \"flat\": %.3f, "
-               "\"hybrid\": %.3f},\n  \"hybrid_sidecars\": %u,\n",
+               "  \"bytes_per_entry\": {\"flat\": %.3f, \"hybrid\": %.3f},\n"
+               "  \"hybrid_sidecars\": %u,\n",
                grid_n, (unsigned long long)cover, p50, p90, p99,
-               all_len.back(), double(nested_bytes) / double(cover),
-               double(flat_bytes) / double(cover),
+               all_len.back(), double(flat_bytes) / double(cover),
                double(hybrid_bytes) / double(cover), hybrid_sidecars);
   std::fprintf(f, "  \"probe_cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const ProbeCell& c = cells[i];
     std::fprintf(f,
                  "    {\"mix\": \"%s\", \"layout\": \"%s\", "
-                 "\"ns_per_probe\": %.2f, \"speedup_vs_nested\": %.3f, "
+                 "\"ns_per_probe\": %.2f, \"speedup_vs_flat\": %.3f, "
                  "\"reachable\": %llu}%s\n",
                  c.mix.c_str(), c.layout.c_str(), c.ns_per_probe,
-                 c.speedup_vs_nested, (unsigned long long)c.reachable,
+                 c.speedup_vs_flat, (unsigned long long)c.reachable,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -355,8 +294,8 @@ int main(int argc, char** argv) {
                (unsigned long long)opt_cell.memo_probes,
                (unsigned long long)opt_cell.memo_hits);
   std::fprintf(f,
-               "  \"speedups\": {\"hub_probe_hybrid_vs_nested\": %.3f, "
-               "\"leaf_probe_best_vs_nested\": %.3f, "
+               "  \"speedups\": {\"hub_probe_hybrid_vs_flat\": %.3f, "
+               "\"leaf_probe_hybrid_vs_flat\": %.3f, "
                "\"e2e_dps_optimized_vs_baseline\": %.3f}\n}\n",
                hub_speedup, leaf_speedup, e2e_speedup);
   std::fclose(f);

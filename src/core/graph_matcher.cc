@@ -33,8 +33,6 @@ struct MatcherMetrics {
   obs::Gauge* result_cache_bytes;
   obs::Counter* batch_queries;
   obs::Counter* batch_dedup_hits;
-  obs::Counter* batch_shared_seed_groups;
-  obs::Counter* batch_shared_seed_reuses;
   obs::Histogram* latency_usec;
 
   static const MatcherMetrics& Get() {
@@ -73,12 +71,6 @@ struct MatcherMetrics {
       e.batch_dedup_hits = r.GetCounter(
           "fgpm_batch_dedup_hits_total",
           "Batch queries answered by another member's canonical duplicate");
-      e.batch_shared_seed_groups =
-          r.GetCounter("fgpm_batch_shared_seed_groups_total",
-                       "Batch opening groups that seeded >= 2 queries");
-      e.batch_shared_seed_reuses =
-          r.GetCounter("fgpm_batch_shared_seed_reuses_total",
-                       "Batch queries served from a shared seed");
       e.latency_usec =
           r.GetHistogram("fgpm_match_latency_usec",
                          "End-to-end match time, optimize + execute (us)");
@@ -352,6 +344,69 @@ void GraphMatcher::RecordQuery(const Pattern& pattern, Engine engine,
   }
 }
 
+Result<MatchResult> GraphMatcher::MatchPlanned(const Pattern& pattern,
+                                               const CanonicalForm& canon,
+                                               const MatchOptions& options) {
+  CheckEpoch();
+  WallTimer total;
+  const bool use_cache = executor_.options().use_result_cache;
+  if (use_cache) EnsureResultCache();
+  fgpm::Plan storage;
+  double optimize_ms = 0;
+  FGPM_ASSIGN_OR_RETURN(
+      const fgpm::Plan* plan,
+      ResolvePlan(pattern, canon, options, &storage, &optimize_ms));
+  if (use_cache) {
+    MatchResult result;
+    std::vector<std::vector<NodeId>> canon_rows;
+    uint8_t cache_hit = 0;
+    FGPM_ASSIGN_OR_RETURN(
+        bool served,
+        TryResultCache(canon, plan->estimated_cost, &canon_rows,
+                       &result.stats.operators, &cache_hit));
+    if (served) {
+      // Cached rows are in canonical node order; permute into this
+      // spelling's numbering (node i lives in canonical column
+      // node_map[i]).
+      for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
+        result.column_labels.push_back(pattern.label(i));
+      }
+      result.rows.reserve(canon_rows.size());
+      for (const auto& crow : canon_rows) {
+        std::vector<NodeId> row(crow.size());
+        for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
+          row[i] = crow[canon.node_map[i]];
+        }
+        result.rows.push_back(std::move(row));
+      }
+      result.stats.cache_hit = cache_hit;
+      result.stats.result_rows = result.rows.size();
+      result.stats.optimize_ms = optimize_ms;
+      result.stats.elapsed_ms = total.ElapsedMillis();
+      return result;
+    }
+  }
+  FGPM_ASSIGN_OR_RETURN(MatchResult result, executor_.Execute(pattern, *plan));
+  // Like the paper, reported elapsed time covers optimization AND
+  // processing.
+  result.stats.optimize_ms = optimize_ms;
+  result.stats.elapsed_ms += optimize_ms;
+  if (use_cache) {
+    std::vector<std::vector<NodeId>> canon_rows;
+    canon_rows.reserve(result.rows.size());
+    for (const auto& row : result.rows) {
+      std::vector<NodeId> crow(row.size());
+      for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
+        crow[canon.node_map[i]] = row[i];
+      }
+      canon_rows.push_back(std::move(crow));
+    }
+    result_cache_->Insert(canon.key, canon.pattern, canon_rows);
+    SyncResultCacheMetrics();
+  }
+  return result;
+}
+
 Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
                                         MatchOptions options) {
   FGPM_RETURN_IF_ERROR(pattern.Validate());
@@ -372,65 +427,9 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
     case Engine::kDps:
     case Engine::kDp:
     case Engine::kCanonical: {
-      CheckEpoch();
-      WallTimer total;
-      CanonicalForm canon = Canonicalize(*effective);
-      const bool use_cache = executor_.options().use_result_cache;
-      if (use_cache) EnsureResultCache();
-      fgpm::Plan storage;
-      double optimize_ms = 0;
       FGPM_ASSIGN_OR_RETURN(
-          const fgpm::Plan* plan,
-          ResolvePlan(*effective, canon, options, &storage, &optimize_ms));
-      if (use_cache) {
-        MatchResult result;
-        std::vector<std::vector<NodeId>> canon_rows;
-        uint8_t cache_hit = 0;
-        FGPM_ASSIGN_OR_RETURN(
-            bool served,
-            TryResultCache(canon, plan->estimated_cost, &canon_rows,
-                           &result.stats.operators, &cache_hit));
-        if (served) {
-          // Cached rows are in canonical node order; permute into this
-          // spelling's numbering (node i lives in canonical column
-          // node_map[i]).
-          for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-            result.column_labels.push_back(effective->label(i));
-          }
-          result.rows.reserve(canon_rows.size());
-          for (const auto& crow : canon_rows) {
-            std::vector<NodeId> row(crow.size());
-            for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-              row[i] = crow[canon.node_map[i]];
-            }
-            result.rows.push_back(std::move(row));
-          }
-          result.stats.cache_hit = cache_hit;
-          result.stats.result_rows = result.rows.size();
-          result.stats.optimize_ms = optimize_ms;
-          result.stats.elapsed_ms = total.ElapsedMillis();
-          return finish(std::move(result));
-        }
-      }
-      FGPM_ASSIGN_OR_RETURN(MatchResult result,
-                            executor_.Execute(*effective, *plan));
-      // Like the paper, reported elapsed time covers optimization AND
-      // processing.
-      result.stats.optimize_ms = optimize_ms;
-      result.stats.elapsed_ms += optimize_ms;
-      if (use_cache) {
-        std::vector<std::vector<NodeId>> canon_rows;
-        canon_rows.reserve(result.rows.size());
-        for (const auto& row : result.rows) {
-          std::vector<NodeId> crow(row.size());
-          for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-            crow[canon.node_map[i]] = row[i];
-          }
-          canon_rows.push_back(std::move(crow));
-        }
-        result_cache_->Insert(canon.key, canon.pattern, canon_rows);
-        SyncResultCacheMetrics();
-      }
+          MatchResult result,
+          MatchPlanned(*effective, Canonicalize(*effective), options));
       return finish(std::move(result));
     }
     case Engine::kIntDp: {
@@ -571,155 +570,69 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
     return Status::InvalidArgument(
         "MatchBatch needs a planned engine (DPS/DP/CANONICAL)");
   }
-  CheckEpoch();
-  const bool use_cache = executor_.options().use_result_cache;
-  if (use_cache) EnsureResultCache();
+  for (const Pattern& p : patterns) FGPM_RETURN_IF_ERROR(p.Validate());
 
-  // Phase 1: canonicalize and dedup. Two spellings of the same pattern
-  // (and outright repeats) collapse into one unique query; everything
-  // downstream runs in CANONICAL coordinates, so plans, cached rows and
-  // shared seeds are directly reusable, and the fan-out at the end is a
-  // pure column permutation per caller spelling.
-  struct Prepared {
-    Pattern reduced;            // storage when transitive_reduction is on
-    const Pattern* effective = nullptr;
-    CanonicalForm canon;
-    size_t unique = 0;
-    bool representative = false;
+  // The first spelling of each canonical key runs through MatchPlanned;
+  // every later spelling (or outright repeat) reads that answer through
+  // the canonical numbering: its node n is canonical column
+  // node_map[n], which the first spelling binds at first_node[...].
+  struct First {
+    size_t index;
+    std::vector<PatternNodeId> first_node;  // canonical -> first spelling
   };
-  std::vector<Prepared> prep(patterns.size());
-  struct Unique {
-    const Pattern* canonical = nullptr;  // points into prep
-    const std::string* key = nullptr;
-    std::vector<std::vector<NodeId>> rows;  // canonical node order
-    ExecStats stats;
-    std::vector<LabelId> node_labels;
-    bool resolvable = false;
-    fgpm::Plan plan;             // own copy: cache entries may be evicted
-    size_t batch_slot = SIZE_MAX;  // index into the shared-seed batch
-  };
-  std::vector<Unique> uniques;
-  std::unordered_map<std::string, size_t> unique_of;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    FGPM_RETURN_IF_ERROR(patterns[i].Validate());
-    Prepared& p = prep[i];
-    p.effective = &patterns[i];
-    if (options.transitive_reduction) {
-      p.reduced = patterns[i].TransitiveReduction();
-      p.effective = &p.reduced;
-    }
-    p.canon = Canonicalize(*p.effective);
-    auto [it, inserted] = unique_of.try_emplace(p.canon.key, uniques.size());
-    p.unique = it->second;
-    p.representative = inserted;
-    if (inserted) uniques.emplace_back();
-  }
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (!prep[i].representative) continue;
-    Unique& u = uniques[prep[i].unique];
-    u.canonical = &prep[i].canon.pattern;
-    u.key = &prep[i].canon.key;
-  }
-
-  // Phase 2: per unique — resolve the (canonical) plan, probe the
-  // result cache, and collect the rest into one shared-seed batch.
-  std::vector<BatchQuery> batch;
-  std::vector<size_t> batch_unique;  // batch slot -> unique index
-  for (size_t ui = 0; ui < uniques.size(); ++ui) {
-    Unique& u = uniques[ui];
-    // The canonical pattern canonicalizes to itself, so this yields
-    // identity maps — ResolvePlan caches and returns the plan verbatim.
-    const CanonicalForm self = Canonicalize(*u.canonical);
-    fgpm::Plan storage;
-    double optimize_ms = 0;
-    FGPM_ASSIGN_OR_RETURN(
-        const fgpm::Plan* plan,
-        ResolvePlan(*u.canonical, self, options, &storage, &optimize_ms));
-    u.stats.optimize_ms = optimize_ms;
-    if (use_cache) {
-      WallTimer t;
-      FGPM_ASSIGN_OR_RETURN(
-          bool served,
-          TryResultCache(self, plan->estimated_cost, &u.rows,
-                         &u.stats.operators, &u.stats.cache_hit));
-      if (served) {
-        u.stats.result_rows = u.rows.size();
-        u.stats.elapsed_ms = optimize_ms + t.ElapsedMillis();
-        continue;
-      }
-    }
-    u.plan = *plan;
-    u.resolvable = ResolveNodeLabels(*db_, *u.canonical, &u.node_labels);
-    u.batch_slot = batch.size();
-    batch.push_back({u.canonical, &u.plan, u.node_labels, u.resolvable});
-    batch_unique.push_back(ui);
-  }
-
-  // Phase 3: shared-seed execution of the residue.
-  BatchExecStats bexec;
-  if (!batch.empty()) {
-    std::vector<MatchResult> executed;
-    FGPM_RETURN_IF_ERROR(ExecuteBatch(*db_, batch, executor_.pool(),
-                                      &batch_scratch_, executor_.scratch(),
-                                      &executed, &bexec));
-    for (size_t s = 0; s < executed.size(); ++s) {
-      Unique& u = uniques[batch_unique[s]];
-      u.rows = std::move(executed[s].rows);
-      const double optimize_ms = u.stats.optimize_ms;
-      u.stats = executed[s].stats;
-      u.stats.optimize_ms = optimize_ms;
-      u.stats.elapsed_ms += optimize_ms;
-      if (use_cache) {
-        result_cache_->Insert(*u.key, *u.canonical, u.rows);
-      }
-    }
-    if (use_cache) SyncResultCacheMetrics();
-  }
-
-  // Phase 4: fan the unique answers back out, one column permutation
-  // per caller spelling; repeats beyond the representative read the
-  // shared rows like an exact cache hit.
+  std::unordered_map<std::string, First> first_of;
   std::vector<MatchResult> results(patterns.size());
   uint64_t cache_exact = 0, cache_replay = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
-    const Prepared& p = prep[i];
-    const Unique& u = uniques[p.unique];
-    MatchResult& res = results[i];
-    res.stats = u.stats;
-    if (!p.representative) res.stats.cache_hit = 1;
-    for (PatternNodeId n = 0; n < p.effective->num_nodes(); ++n) {
-      res.column_labels.push_back(p.effective->label(n));
+    const Pattern* effective = &patterns[i];
+    Pattern reduced;
+    if (options.transitive_reduction) {
+      reduced = patterns[i].TransitiveReduction();
+      effective = &reduced;
     }
-    res.rows.reserve(u.rows.size());
-    for (const auto& crow : u.rows) {
-      std::vector<NodeId> row(crow.size());
-      for (PatternNodeId n = 0; n < p.effective->num_nodes(); ++n) {
-        row[n] = crow[p.canon.node_map[n]];
+    const CanonicalForm canon = Canonicalize(*effective);
+    auto it = first_of.find(canon.key);
+    if (it == first_of.end()) {
+      FGPM_ASSIGN_OR_RETURN(results[i],
+                            MatchPlanned(*effective, canon, options));
+      first_of.emplace(canon.key, First{i, canon.InverseNodeMap()});
+    } else {
+      const MatchResult& first = results[it->second.index];
+      MatchResult& res = results[i];
+      res.stats = first.stats;
+      res.stats.cache_hit = 1;
+      for (PatternNodeId n = 0; n < effective->num_nodes(); ++n) {
+        res.column_labels.push_back(effective->label(n));
       }
-      res.rows.push_back(std::move(row));
+      res.rows.reserve(first.rows.size());
+      for (const auto& frow : first.rows) {
+        std::vector<NodeId> row(frow.size());
+        for (PatternNodeId n = 0; n < effective->num_nodes(); ++n) {
+          row[n] = frow[it->second.first_node[canon.node_map[n]]];
+        }
+        res.rows.push_back(std::move(row));
+      }
     }
-    res.stats.result_rows = res.rows.size();
-    if (res.stats.cache_hit == 1) ++cache_exact;
-    if (res.stats.cache_hit == 2) ++cache_replay;
-    RecordQuery(*p.effective, options.engine, res.stats);
-    FGPM_ASSIGN_OR_RETURN(results[i],
-                          Project(std::move(res), *p.effective, options));
+    if (results[i].stats.cache_hit == 1) ++cache_exact;
+    if (results[i].stats.cache_hit == 2) ++cache_replay;
+    RecordQuery(*effective, options.engine, results[i].stats);
+  }
+  // Project only once every repeat has read its first spelling's rows.
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    FGPM_ASSIGN_OR_RETURN(
+        results[i], Project(std::move(results[i]), patterns[i], options));
   }
 
   if (batch_stats != nullptr) {
     batch_stats->queries = patterns.size();
-    batch_stats->unique_queries = uniques.size();
+    batch_stats->unique_queries = first_of.size();
     batch_stats->cache_exact = cache_exact;
     batch_stats->cache_replay = cache_replay;
-    batch_stats->shared_seed_groups = bexec.shared_seed_groups;
-    batch_stats->shared_seed_reuses = bexec.shared_seed_reuses;
   }
   if (obs::Enabled()) {
     const MatcherMetrics& m = MatcherMetrics::Get();
     m.batch_queries->Increment(patterns.size());
-    m.batch_dedup_hits->Increment(patterns.size() - uniques.size());
-    m.batch_shared_seed_groups->Increment(bexec.shared_seed_groups);
-    m.batch_shared_seed_reuses->Increment(bexec.shared_seed_reuses);
+    m.batch_dedup_hits->Increment(patterns.size() - first_of.size());
   }
   return results;
 }

@@ -122,30 +122,16 @@ void AttachSpanArgs(QueryTrace* trace, uint32_t span, uint64_t rows_in,
   delta("page_reads", 0, io.page_reads);
 }
 
-}  // namespace
-
-void MatchResult::SortRows() { std::sort(rows.begin(), rows.end()); }
-
-bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
-                       std::vector<LabelId>* node_labels) {
-  std::vector<LabelId> resolved(pattern.num_nodes());
-  for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-    auto l = db.catalog().FindLabel(pattern.label(i));
-    if (!l) return false;
-    resolved[i] = *l;
-  }
-  *node_labels = std::move(resolved);
-  return true;
-}
-
+// Runs plan.steps against `table`, with factorized select fusion,
+// per-step stats (steps/step_rows/step_wall_ms/step_absorbed) and
+// optional spans (trace may be null).
 Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, const Plan& plan,
-                    size_t start_step, TemporalTable* table,
-                    ExecStats* stats, QueryTrace* trace, uint32_t query_span,
-                    ThreadPool* pool, ExecScratch* scratch,
-                    uint64_t* wcoj_binds) {
+                    TemporalTable* table, ExecStats* stats, QueryTrace* trace,
+                    uint32_t query_span, ThreadPool* pool,
+                    ExecScratch* scratch, uint64_t* wcoj_binds) {
   const std::vector<PlanStep>& steps = plan.steps;
-  for (size_t si = start_step; si < steps.size(); ++si) {
+  for (size_t si = 0; si < steps.size(); ++si) {
     const PlanStep& step = steps[si];
     size_t absorbed = 0;
     std::vector<uint32_t> fused;
@@ -257,6 +243,9 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
   return Status::OK();
 }
 
+// The single materialization point: projects `table` (complete — one
+// column per pattern node) into result->rows in pattern-node order.
+// No-op when execution emptied out before binding every label.
 void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
                       MatchResult* result) {
   // Project to pattern-node order (plans bind labels in plan order).
@@ -301,6 +290,22 @@ void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
   result->stats.operators.rows_materialized += nrows;
 }
 
+}  // namespace
+
+void MatchResult::SortRows() { std::sort(rows.begin(), rows.end()); }
+
+bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
+                       std::vector<LabelId>* node_labels) {
+  std::vector<LabelId> resolved(pattern.num_nodes());
+  for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
+    auto l = db.catalog().FindLabel(pattern.label(i));
+    if (!l) return false;
+    resolved[i] = *l;
+  }
+  *node_labels = std::move(resolved);
+  return true;
+}
+
 Result<MatchResult> Executor::Execute(const Pattern& pattern,
                                       const Plan& plan,
                                       int trace_level_override) {
@@ -343,9 +348,8 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
       TemporalTable table;
       scratch_.BeginQuery();
       FGPM_RETURN_IF_ERROR(RunPlanSteps(
-          *db_, pattern, node_labels, plan, 0, &table,
-          &result.stats, trace.get(), query_span, pool_.get(), &scratch_,
-          &wcoj_binds));
+          *db_, pattern, node_labels, plan, &table, &result.stats,
+          trace.get(), query_span, pool_.get(), &scratch_, &wcoj_binds));
       MaterializeTable(pattern, table, &result);
     }
   }

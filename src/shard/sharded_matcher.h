@@ -11,7 +11,7 @@
 // exactly as on an unsharded database (row-identical). Otherwise a
 // scatter-gather coordinator splits the pattern into shard-local
 // connected sub-patterns (executed by their owning shards, composing
-// with the PR 7 result cache and MatchBatch), then joins them across
+// with the result cache and MatchBatch), then joins them across
 // the cross-shard edges by shipping *semijoin center filters* — the
 // compact sorted center lists of the 2-hop codes — between shards
 // instead of rows:

@@ -179,8 +179,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(JoinStrategy::kBinary,
                                          JoinStrategy::kHybrid)));
 
-// MatchBatch: results must be row-identical to per-query Match, with
-// dedup and shared seeds doing their accounting.
+// MatchBatch: results must be row-identical to per-query Match, run
+// the same plan steps with the same per-step row counts, and dedup
+// must do its accounting.
 class BatchDifferential : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BatchDifferential, MatchesSoloExecution) {
@@ -193,7 +194,7 @@ TEST_P(BatchDifferential, MatchesSoloExecution) {
   std::vector<std::string> batch = {
       "L0->L1; L1->L2",
       "L1->L2; L0->L1",          // spelling of #0: dedup
-      "L0->L1; L0->L2",          // same scan-base opening as #0 under DPS
+      "L0->L1; L0->L2",          // same opening label as #0
       "L1->L2; L1->L3",
       "L0->L1; L1->L2; L0->L2",  // chord
       "L2->L3",
@@ -208,8 +209,13 @@ TEST_P(BatchDifferential, MatchesSoloExecution) {
   EXPECT_LT(bs.unique_queries, batch.size());  // dedup happened
   for (size_t i = 0; i < batch.size(); ++i) {
     MatchResult& r = (*results)[i];
+    auto want = solo->Match(batch[i]);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(r.stats.steps, want->stats.steps) << batch[i];
+    EXPECT_EQ(r.stats.step_rows, want->stats.step_rows) << batch[i];
     r.SortRows();
-    EXPECT_EQ(r.rows, SortedRows(solo->Match(batch[i])))
+    want->SortRows();
+    EXPECT_EQ(r.rows, want->rows)
         << "t=" << threads << " query " << i << ": " << batch[i];
   }
 }
@@ -275,6 +281,9 @@ TEST(EpochInvalidationTest, EdgeInsertDropsBothCaches) {
   ExecOptions eo;
   eo.use_result_cache = true;
   auto m = MakeMatcher(g, eo);
+  // Same history, answered through MatchBatch instead of Match.
+  auto batched = MakeMatcher(g, eo);
+  const std::vector<std::string> chain = {"A->B; B->C"};
 
   auto before = m->Match("A->B; B->C");
   ASSERT_TRUE(before.ok());
@@ -284,16 +293,27 @@ TEST(EpochInvalidationTest, EdgeInsertDropsBothCaches) {
   auto repeat = m->Match("A->B; B->C");
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(repeat->stats.cache_hit, 1);
+  ASSERT_TRUE(batched->MatchBatch(chain).ok());
+  auto batch_repeat = batched->MatchBatch(chain);
+  ASSERT_TRUE(batch_repeat.ok());
+  EXPECT_EQ((*batch_repeat)[0].stats.cache_hit, 1);
 
   // ...until an edge insert moves the database epoch.
   ASSERT_TRUE(g.AddEdge(b, c).ok());
   g.Finalize();
   ASSERT_TRUE(m->db().ApplyEdgeInsert(g, b, c).ok());
+  ASSERT_TRUE(batched->db().ApplyEdgeInsert(g, b, c).ok());
   auto after = m->Match("A->B; B->C");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->stats.cache_hit, 0);  // stale rows were NOT replayed
   EXPECT_EQ(after->rows.size(), 1u);     // and the new edge is visible
   EXPECT_GE(m->cache_invalidations(), 1u);
+  auto batch_after = batched->MatchBatch(chain);
+  ASSERT_TRUE(batch_after.ok());
+  EXPECT_EQ((*batch_after)[0].stats.cache_hit, 0);
+  EXPECT_EQ((*batch_after)[0].rows,
+            (std::vector<std::vector<NodeId>>{{a, b, c}}));
+  EXPECT_GE(batched->cache_invalidations(), 1u);
 }
 
 TEST(CacheMetricsTest, CountersReachTheRegistry) {
