@@ -17,15 +17,16 @@
 #   make bench-server - build + run the open-loop query-server bench
 #                       over real sockets at 1/2/4/8 shards
 #                       (writes BENCH_server.json)
-#   make verify-tsan  - ThreadSanitizer pass over the concurrency +
-#                       reach + exec + obs + wcoj + mqo + net + sched
-#                       tests (the Chase-Lev deque is the TSan-critical
+#   make verify-tsan  - ThreadSanitizer pass over the storage +
+#                       concurrency + reach + exec + obs + wcoj + mqo +
+#                       net + sched tests (the Chase-Lev deque is the TSan-critical
 #                       piece of the scheduler)
 #   make verify-asan  - AddressSanitizer pass over the same labels
 #
 # verify-tsan / verify-asan are the one-command sanitizer gates for the
-# `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`, `net` and
-# `sched` ctest labels (buffer-pool / code-cache hammer tests, code-layout
+# `storage`, `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`,
+# `net` and `sched` ctest labels (page / heap / B+-tree units,
+# buffer-pool / code-cache hammer tests, code-layout
 # round-trips, the multi-threaded probe differentials, the factorized
 # executor's naive-oracle differentials at 1/4/8 threads and the
 # metrics/trace suites with their 8-thread exact-total checks): each
@@ -77,9 +78,9 @@ bench-server: build
 verify-tsan:
 	cmake -B $(TSAN_BUILD_DIR) -S . -DFGPM_SANITIZE=thread
 	cmake --build $(TSAN_BUILD_DIR) -j $(JOBS)
-	ctest --test-dir $(TSAN_BUILD_DIR) -L 'concurrency|reach|exec|obs|obs2|wcoj|mqo|net|sched' --output-on-failure
+	ctest --test-dir $(TSAN_BUILD_DIR) -L 'storage|concurrency|reach|exec|obs|obs2|wcoj|mqo|net|sched' --output-on-failure
 
 verify-asan:
 	cmake -B $(ASAN_BUILD_DIR) -S . -DFGPM_SANITIZE=address
 	cmake --build $(ASAN_BUILD_DIR) -j $(JOBS)
-	ctest --test-dir $(ASAN_BUILD_DIR) -L 'concurrency|reach|exec|obs|obs2|wcoj|mqo|net|sched' --output-on-failure
+	ctest --test-dir $(ASAN_BUILD_DIR) -L 'storage|concurrency|reach|exec|obs|obs2|wcoj|mqo|net|sched' --output-on-failure

@@ -1,8 +1,12 @@
 // Micro-benchmarks (google-benchmark): operator- and structure-level
-// costs underlying the end-to-end numbers — B+-tree probes, graph-code
-// retrieval (cached/uncached), W-table lookups, cluster fetches, 2-hop
-// construction, reachability tests and pattern parsing.
+// costs underlying the end-to-end numbers — B+-tree probes (point and
+// sorted batch), graph-code retrieval (cached/uncached), W-table
+// lookups, cluster fetches (point and batch), 2-hop construction,
+// reachability tests and pattern parsing.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/rng.h"
 #include "gdb/database.h"
@@ -45,6 +49,32 @@ void BM_BPTreeLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BPTreeLookup);
+
+// LookupSorted over a sorted batch of random keys; items are keys, so
+// the per-item time compares directly with BM_BPTreeLookup.
+void BM_BPTreeSortedBatch(benchmark::State& state) {
+  DiskManager disk;
+  BufferPool pool(&disk, 8 << 20);
+  BPTree tree(&pool);
+  for (uint64_t k = 0; k < 100000; ++k) {
+    Status s = tree.Insert(k * 7, k);
+    (void)s;
+  }
+  Rng rng(2);
+  std::vector<uint64_t> keys(static_cast<size_t>(state.range(0)));
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (uint64_t& k : keys) k = rng.NextBounded(100000) * 7;
+    std::sort(keys.begin(), keys.end());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(tree.LookupSorted(
+        keys, [&](size_t, uint64_t v) { sum += v; }));
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BPTreeSortedBatch)->Arg(64)->Arg(4096);
 
 void BM_TwoHopBuild(benchmark::State& state) {
   Graph g = gen::ErdosRenyi(static_cast<uint32_t>(state.range(0)),
@@ -146,6 +176,28 @@ void BM_ClusterFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClusterFetch);
+
+// The same subclusters through one ReadSubclusters batch over the
+// sorted center list; items are subclusters, as in BM_ClusterFetch.
+void BM_ClusterFetchBatch(benchmark::State& state) {
+  DbEnv& env = Env();
+  auto rx = env.g.FindLabel("region");
+  auto ry = env.g.FindLabel("item");
+  std::vector<CenterId> centers;
+  Status s = env.db.wtable().Lookup(*rx, *ry, &centers);
+  (void)s;
+  if (centers.empty()) {
+    state.SkipWithError("no centers for region->item");
+    return;
+  }
+  SubclusterRun run;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.db.rjoin_index().ReadSubclusters(
+        centers, RJoinIndex::Side::kT, *ry, &run));
+  }
+  state.SetItemsProcessed(state.iterations() * centers.size());
+}
+BENCHMARK(BM_ClusterFetchBatch);
 
 void BM_PatternParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -59,6 +59,49 @@ void ExtendSortOrder(TemporalTable* table, size_t new_col) {
 
 }  // namespace
 
+Status SubclusterStore::Read(const RJoinIndex& index,
+                             std::vector<CenterId> centers,
+                             RJoinIndex::Side side, LabelId label,
+                             ThreadPool* pool) {
+  centers_ = std::move(centers);
+  const size_t n = centers_.size();
+  runs_.assign(ThreadPool::NumChunks(n, kCentersPerRead), {});
+  std::vector<Status> errs(runs_.size());
+  RunChunked(pool, n, kCentersPerRead, [&](unsigned, size_t c, size_t begin,
+                                           size_t end) {
+    errs[c] = index.ReadSubclusters({centers_.data() + begin, end - begin},
+                                    side, label, &runs_[c]);
+  });
+  return FirstError(errs);
+}
+
+bool SubclusterStore::Find(CenterId w, std::span<const NodeId>* ids) const {
+  auto it = std::lower_bound(centers_.begin(), centers_.end(), w);
+  if (it == centers_.end() || *it != w) return false;
+  *ids = At(static_cast<size_t>(it - centers_.begin()));
+  return true;
+}
+
+uint64_t SubclusterStore::Expand(std::span<const CenterId> centers,
+                                 std::vector<NodeId>* out,
+                                 const SubclusterStore* more) const {
+  out->clear();
+  uint64_t read = 0;
+  for (CenterId w : centers) {
+    std::span<const NodeId> ids;
+    if (!Find(w, &ids) && more != nullptr) more->Find(w, &ids);
+    read += ids.size();
+    out->insert(out->end(), ids.begin(), ids.end());
+  }
+  // A single subcluster is already sorted + unique (built in ascending
+  // node order) — no re-sort needed.
+  if (centers.size() > 1) {
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+  return read;
+}
+
 uint64_t TemporalTablePages(const TemporalTable& table) {
   // 4 bytes per stored id (row block + delta levels) plus, per row and
   // pending slot, the row's center list (as the paper's (r_i, X_i)
@@ -119,15 +162,21 @@ Status HpsjBaseJoinImpl(const GraphDatabase& db, const Pattern& pattern,
                         db.wtable().LookupSpan(x, y, cbuf));
   ++stats->wtable_lookups;
 
+  // Every center's F(w, X) and T(w, Y), each read once in key order.
+  SubclusterStore fstore, tstore;
+  const std::vector<CenterId> center_list(centers.begin(), centers.end());
+  FGPM_RETURN_IF_ERROR(fstore.Read(db.rjoin_index(), center_list,
+                                   RJoinIndex::Side::kF, x, pool));
+  FGPM_RETURN_IF_ERROR(tstore.Read(db.rjoin_index(), center_list,
+                                   RJoinIndex::Side::kT, y, pool));
+  stats->cluster_fetches += fstore.size() + tstore.size();
+
   if (centers.size() == 1) {
     // Single center: F(w) x T(w) has no duplicate pairs, and cluster
     // lists come back sorted (built in ascending node order), so the
     // cross product is already the sorted distinct output — skip the
     // bucketed dedup entirely and record the sort order.
-    std::vector<NodeId> fs, ts;
-    FGPM_RETURN_IF_ERROR(db.rjoin_index().GetF(centers[0], x, &fs));
-    FGPM_RETURN_IF_ERROR(db.rjoin_index().GetT(centers[0], y, &ts));
-    stats->cluster_fetches += 2;
+    std::span<const NodeId> fs = fstore.At(0), ts = tstore.At(0);
     const uint64_t cross = static_cast<uint64_t>(fs.size()) * ts.size();
     stats->pairs_emitted += cross;
     std::vector<NodeId>& rows = out->raw_rows();
@@ -166,28 +215,18 @@ Status HpsjBaseJoinImpl(const GraphDatabase& db, const Pattern& pattern,
     std::vector<size_t> sorted;  // per bucket: length of sorted+unique prefix
     size_t buffered = 0;
     uint64_t pairs_emitted = 0;
-    uint64_t cluster_fetches = 0;
   };
   std::vector<ChunkOut> parts(nchunks);
-  std::vector<Status> errs(nchunks);
   RunChunked(pool, n, chunk, [&](unsigned, size_t c, size_t begin,
                                  size_t end) {
     ChunkOut& part = parts[c];
     part.buckets.resize(kBuckets);
     part.sorted.assign(kBuckets, 0);
-    std::vector<NodeId> fs, ts;  // reused across the chunk's centers
     // Amortized local dedup bounds the buffers near their unique size
     // even when cross products are duplicate-heavy.
     size_t dedup_watermark = 1u << 22;
     for (size_t i = begin; i < end; ++i) {
-      CenterId w = centers[i];
-      Status s = db.rjoin_index().GetF(w, x, &fs);
-      if (s.ok()) s = db.rjoin_index().GetT(w, y, &ts);
-      if (!s.ok()) {
-        errs[c] = std::move(s);
-        return;
-      }
-      part.cluster_fetches += 2;
+      std::span<const NodeId> fs = fstore.At(i), ts = tstore.At(i);
       uint64_t cross = static_cast<uint64_t>(fs.size()) * ts.size();
       part.pairs_emitted += cross;
       part.buffered += cross;
@@ -215,10 +254,8 @@ Status HpsjBaseJoinImpl(const GraphDatabase& db, const Pattern& pattern,
       }
     }
   });
-  FGPM_RETURN_IF_ERROR(FirstError(errs));
   for (const ChunkOut& part : parts) {
     stats->pairs_emitted += part.pairs_emitted;
-    stats->cluster_fetches += part.cluster_fetches;
   }
 
   // Per-bucket merge in parallel: gather every chunk's slice of the
@@ -584,7 +621,9 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
 
   // Phase 1: expand each referenced pool entry once. A pool entry is a
   // pure function of the probed node, so its expansion (the sorted set
-  // of reachable new-label nodes) is too.
+  // of reachable new-label nodes) is too. The subcluster of each
+  // distinct center of the used entries is read once, in key order,
+  // into a step-local store that is freed before phase 2.
   const auto& pool_entries = slot.pool;
   const std::vector<uint32_t>& ridx = slot.row_index;
   std::vector<uint8_t> used(pool_entries.size(), 0);
@@ -593,57 +632,31 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
   const size_t npool = pool_entries.size();
   std::vector<std::vector<NodeId>> expansions(npool);
   {
+    std::vector<CenterId> centers;
+    for (size_t p = 0; p < npool; ++p) {
+      if (used[p]) {
+        centers.insert(centers.end(), pool_entries[p].begin(),
+                       pool_entries[p].end());
+      }
+    }
+    std::sort(centers.begin(), centers.end());
+    centers.erase(std::unique(centers.begin(), centers.end()), centers.end());
+    SubclusterStore store;
+    FGPM_RETURN_IF_ERROR(store.Read(
+        db.rjoin_index(), std::move(centers),
+        bound_is_source ? RJoinIndex::Side::kT : RJoinIndex::Side::kF,
+        new_label, pool));
+    stats->cluster_fetches += store.size();
+
     const size_t chunk = ChunkFor(npool, pool, 8);
-    const size_t nchunks = ThreadPool::NumChunks(npool, chunk);
-    struct ExpOut {
-      uint64_t cluster_fetches = 0;
-      uint64_t pairs_emitted = 0;
-    };
-    std::vector<ExpOut> eparts(nchunks);
-    std::vector<Status> errs(nchunks);
+    std::vector<uint64_t> read(ThreadPool::NumChunks(npool, chunk), 0);
     RunChunked(pool, npool, chunk, [&](unsigned, size_t c, size_t begin,
                                        size_t end) {
-      ExpOut& part = eparts[c];
-      std::vector<NodeId> cluster;  // reused across the chunk's entries
       for (size_t p = begin; p < end; ++p) {
-        if (!used[p]) continue;
-        std::vector<NodeId>& exp = expansions[p];
-        const auto& centers = pool_entries[p];
-        if (centers.size() == 1) {
-          // A single cluster list is already sorted + unique (built in
-          // ascending node order) — no re-sort needed.
-          Status s = bound_is_source
-                         ? db.rjoin_index().GetT(centers[0], new_label, &exp)
-                         : db.rjoin_index().GetF(centers[0], new_label, &exp);
-          if (!s.ok()) {
-            errs[c] = std::move(s);
-            return;
-          }
-          ++part.cluster_fetches;
-          part.pairs_emitted += exp.size();
-          continue;
-        }
-        for (CenterId w : centers) {
-          Status s = bound_is_source
-                         ? db.rjoin_index().GetT(w, new_label, &cluster)
-                         : db.rjoin_index().GetF(w, new_label, &cluster);
-          if (!s.ok()) {
-            errs[c] = std::move(s);
-            return;
-          }
-          ++part.cluster_fetches;
-          part.pairs_emitted += cluster.size();
-          exp.insert(exp.end(), cluster.begin(), cluster.end());
-        }
-        std::sort(exp.begin(), exp.end());
-        exp.erase(std::unique(exp.begin(), exp.end()), exp.end());
+        if (used[p]) read[c] += store.Expand(pool_entries[p], &expansions[p]);
       }
     });
-    FGPM_RETURN_IF_ERROR(FirstError(errs));
-    for (const ExpOut& part : eparts) {
-      stats->cluster_fetches += part.cluster_fetches;
-      stats->pairs_emitted += part.pairs_emitted;
-    }
+    for (uint64_t n : read) stats->pairs_emitted += n;
   }
 
   // Phase 2: emit (parent, value) pairs per row, running fused select

@@ -16,22 +16,24 @@
 //
 // Parallelism: every operator takes an optional ThreadPool. HPSJ fans
 // out over 2-hop centers; filter/fetch/select fan out over contiguous
-// temporal-table row ranges. Each chunk emits into its own buffer;
+// temporal-table row ranges; subcluster reads fan out over fixed key
+// ranges (SubclusterStore). Each chunk emits into its own buffer;
 // filter/fetch/select merge chunks in chunk order, and HPSJ dedups its
 // packed pair set through fixed hash buckets that are sorted + uniqued
 // independently and concatenated in bucket order. Either way the
 // produced ROWS — and each row's pending center list CentersFor(r) —
 // are identical for every thread count, including the sequential
 // pool == nullptr path. The internal pending-pool layout may differ
-// with chunking (pools deduplicate per chunk), as may work counters:
-// code_fetches, cluster_fetches and reach_memo_* depend on how rows
-// were partitioned across chunks/workers. The produced rows never do —
+// with chunking (pools deduplicate per chunk), as may the memo-affected
+// work counters: code_fetches and reach_memo_* depend on how rows were
+// partitioned across chunks/workers (cluster_fetches does not). The produced rows never do —
 // dedup and memoization only short-circuit recomputations whose result
 // is a pure function of the probed node (pair).
 #ifndef FGPM_EXEC_OPERATORS_H_
 #define FGPM_EXEC_OPERATORS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -49,7 +51,10 @@ struct OperatorStats {
   uint64_t rows_pruned = 0;      // rows dropped by filters/selects
   uint64_t pairs_emitted = 0;    // tuples produced before dedup
   uint64_t code_fetches = 0;     // getCenters / graph-code retrievals
-  uint64_t cluster_fetches = 0;  // getF/getT cluster reads
+  // Subclusters read from the R-join index: once per distinct
+  // (center, side, label) per operator call, so the count is the same
+  // at every thread count.
+  uint64_t cluster_fetches = 0;
   uint64_t wtable_lookups = 0;
   // Temporal tables are disk-resident in the paper's system (Shore):
   // each operator re-reads its input table and writes its output table.
@@ -144,6 +149,40 @@ struct ExecScratch {
       w.filter_memo.Clear();
     }
   }
+};
+
+// Step-local subcluster store of the R-join operators (HPSJ, Fetch and
+// the WCOJ bind): the side/label subclusters of an ascending, distinct
+// center list, each read once, in directory-key order, through
+// RJoinIndex::ReadSubclusters. The list is cut into fixed contiguous key
+// ranges of kCentersPerRead centers, read in parallel when a pool is
+// given; the ranges depend only on the list, so the pages read and the
+// pool accesses made are the same at every thread count.
+class SubclusterStore {
+ public:
+  static constexpr size_t kCentersPerRead = 256;
+
+  Status Read(const RJoinIndex& index, std::vector<CenterId> centers,
+              RJoinIndex::Side side, LabelId label, ThreadPool* pool);
+
+  // Subclusters read (one per center, empty ones included).
+  size_t size() const { return centers_.size(); }
+  const std::vector<CenterId>& centers() const { return centers_; }
+  std::span<const NodeId> At(size_t i) const {
+    return runs_[i / kCentersPerRead][i % kCentersPerRead];
+  }
+
+  // The union of the subclusters of `centers` (ascending), ascending and
+  // distinct, into `out`; centers this store lacks are taken from `more`
+  // when given. Returns the ids read before the dedup.
+  uint64_t Expand(std::span<const CenterId> centers, std::vector<NodeId>* out,
+                  const SubclusterStore* more = nullptr) const;
+
+ private:
+  bool Find(CenterId w, std::span<const NodeId>* ids) const;
+
+  std::vector<CenterId> centers_;
+  std::vector<SubclusterRun> runs_;
 };
 
 // Charged pages for one pass over a temporal table's current contents

@@ -71,6 +71,7 @@ struct Expansion {
   std::vector<NodeId> values;
   std::vector<uint32_t> chunk_ids;
   std::vector<uint64_t> words;
+  bool marked = false;  // some row needs it expanded
   bool expanded = false;
 
   SortedSetView View() const {
@@ -92,6 +93,10 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   const PatternNodeId new_node = step.scan_node;
   const LabelId new_label = node_labels[new_node];
   const size_t k = step.wcoj_edges.size();
+  if (k > 64) {
+    // IntersectKWayU32 takes at most 64 sets.
+    return Status::InvalidArgument("bind step with more than 64 constraints");
+  }
 
   // Resolve each constraint and prefetch its W(X, Y) center list into
   // the executor-owned pool (capacity persists across calls).
@@ -160,86 +165,50 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     for (auto& w : scratch->workers) w.select_memo.Clear();
   }
 
+  // Row chunks: the same decomposition for every pass below, so a
+  // chunk's entry pools and per-row entry indexes carry across passes.
   const size_t chunk = ChunkFor(nrows, pool, 128);
   const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
+  constexpr uint8_t kDropped = 0xff;  // driver slot of a pruned row
   struct ChunkOut {
+    std::vector<std::vector<Expansion>> pools;  // per constraint
+    std::vector<uint32_t> entry;  // (r - begin) * k + i -> pools[i] index
+    std::vector<uint8_t> driver;  // per row; kDropped once pruned
     std::vector<uint32_t> parent;  // new delta level
     std::vector<NodeId> value;
     std::vector<std::vector<uint32_t>> kept;  // per pending slot
     uint64_t rows_scanned = 0;
     uint64_t rows_pruned = 0;
     uint64_t code_fetches = 0;
-    uint64_t cluster_fetches = 0;
     uint64_t pairs_emitted = 0;
     uint64_t reach_pruned = 0;
     KWayStats kway;
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  auto est_of = [&](size_t i, const Expansion& ent) {
+    return ent.expanded ? static_cast<double>(ent.values.size())
+                        : ent.centers.size() * ctx[i].avg_sub;
+  };
+
+  // Pass 1: each row's entry per constraint (code ∩ W, memoized per
+  // probed node), and its driver — the constraint with the smallest
+  // estimated expansion — which is marked for expansion.
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
-    part.kept.resize(new_pending.size());
-    ExecScratch::Worker* ws =
-        scratch != nullptr && wk < scratch->workers.size()
-            ? &scratch->workers[wk]
-            : nullptr;
-    ReachMemo* memo = use_memo && ws != nullptr ? &ws->select_memo : nullptr;
-    GraphCodeRecord local_rx, local_ry;
-    GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
-    GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
-
-    // Chunk-local expansion memo per constraint: probed node -> pool
-    // index (-1 = empty center set, row cannot match).
+    part.pools.resize(k);
+    part.entry.resize((end - begin) * k);
+    part.driver.assign(end - begin, kDropped);
+    // Chunk-local entry memo per constraint: probed node -> pools index
+    // (-1 = empty center set, row cannot match).
     std::vector<std::unordered_map<NodeId, int32_t>> seen(k);
-    std::vector<std::vector<Expansion>> pools(k);
     std::unordered_map<size_t, GraphCodeRecord> col_codes;  // per row
     std::vector<CenterId> xi;
-    std::vector<NodeId> cluster;
-    std::vector<uint32_t> out_buf, tmp_buf;
-    std::vector<SortedSetView> views;
-    std::vector<size_t> set_idx, probe_idx, entry_idx(k);
-
-    // Expands an entry's centers through the cluster index once; the
-    // result (the sorted set of reachable new-label nodes) is a pure
-    // function of (probed node, constraint).
-    auto expand = [&](const ConstraintCtx& cc, Expansion* ent) -> Status {
-      if (ent->expanded) return Status::OK();
-      if (ent->centers.size() == 1) {
-        FGPM_RETURN_IF_ERROR(
-            cc.forward
-                ? db.rjoin_index().GetT(ent->centers[0], new_label,
-                                        &ent->values)
-                : db.rjoin_index().GetF(ent->centers[0], new_label,
-                                        &ent->values));
-        ++part.cluster_fetches;
-        part.pairs_emitted += ent->values.size();
-      } else {
-        for (CenterId w : ent->centers) {
-          FGPM_RETURN_IF_ERROR(
-              cc.forward ? db.rjoin_index().GetT(w, new_label, &cluster)
-                         : db.rjoin_index().GetF(w, new_label, &cluster));
-          ++part.cluster_fetches;
-          part.pairs_emitted += cluster.size();
-          ent->values.insert(ent->values.end(), cluster.begin(),
-                             cluster.end());
-        }
-        std::sort(ent->values.begin(), ent->values.end());
-        ent->values.erase(
-            std::unique(ent->values.begin(), ent->values.end()),
-            ent->values.end());
-      }
-      if (bitmap_threshold != 0 && ent->values.size() >= bitmap_threshold) {
-        BuildChunkedBitmap(ent->values.data(), ent->values.size(),
-                           &ent->chunk_ids, &ent->words);
-      }
-      ent->expanded = true;
-      return Status::OK();
-    };
-
     for (size_t r = begin; r < end; ++r) {
       ++part.rows_scanned;
       col_codes.clear();
+      uint32_t* entry = &part.entry[(r - begin) * k];
       bool ok = true;
       for (size_t i = 0; i < k && ok; ++i) {
         const NodeId node =
@@ -249,7 +218,7 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
           if (sit->second < 0) {
             ok = false;
           } else {
-            entry_idx[i] = static_cast<size_t>(sit->second);
+            entry[i] = static_cast<uint32_t>(sit->second);
           }
           continue;
         }
@@ -269,65 +238,151 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
         if (xi.empty()) {
           ok = false;  // sit->second stays -1 (known-empty)
         } else {
-          sit->second = static_cast<int32_t>(pools[i].size());
-          entry_idx[i] = static_cast<size_t>(sit->second);
+          sit->second = static_cast<int32_t>(part.pools[i].size());
+          entry[i] = static_cast<uint32_t>(sit->second);
           Expansion ent;
           ent.centers = xi;
-          pools[i].push_back(std::move(ent));
+          part.pools[i].push_back(std::move(ent));
         }
       }
       if (!ok) {
         ++part.rows_pruned;
         continue;
       }
+      uint8_t driver = 0;
+      for (size_t i = 1; i < k; ++i) {
+        if (est_of(i, part.pools[i][entry[i]]) <
+            est_of(driver, part.pools[driver][entry[driver]])) {
+          driver = static_cast<uint8_t>(i);
+        }
+      }
+      part.driver[r - begin] = driver;
+      part.pools[driver][entry[driver]].marked = true;
+    }
+  });
+  FGPM_RETURN_IF_ERROR(FirstError(errs));
 
-      // Driver choice: the constraint with the smallest (estimated)
-      // expansion drives the intersection.
-      size_t driver = 0;
-      double driver_est = 0.0;
+  // Expands every marked entry. Per side, the subclusters of the marked
+  // entries' centers that `earlier` did not read are read once each, in
+  // key order; which entries are marked depends only on the rows, so the
+  // reads are the same at every thread count.
+  using Side = RJoinIndex::Side;
+  auto side_of = [&](size_t i) {
+    return ctx[i].forward ? Side::kT : Side::kF;
+  };
+  auto expand_marked = [&](const SubclusterStore* earlier,
+                           SubclusterStore* stores) -> Status {
+    for (Side side : {Side::kF, Side::kT}) {
+      std::vector<CenterId> centers;
+      for (const ChunkOut& part : parts) {
+        for (size_t i = 0; i < k; ++i) {
+          if (side_of(i) != side) continue;
+          for (const Expansion& ent : part.pools[i]) {
+            if (ent.marked && !ent.expanded) {
+              centers.insert(centers.end(), ent.centers.begin(),
+                             ent.centers.end());
+            }
+          }
+        }
+      }
+      std::sort(centers.begin(), centers.end());
+      centers.erase(std::unique(centers.begin(), centers.end()),
+                    centers.end());
+      if (earlier != nullptr) {
+        const std::vector<CenterId>& done =
+            earlier[static_cast<size_t>(side)].centers();
+        std::vector<CenterId> fresh;
+        std::set_difference(centers.begin(), centers.end(), done.begin(),
+                            done.end(), std::back_inserter(fresh));
+        centers = std::move(fresh);
+      }
+      SubclusterStore& store = stores[static_cast<size_t>(side)];
+      FGPM_RETURN_IF_ERROR(store.Read(db.rjoin_index(), std::move(centers),
+                                      side, new_label, pool));
+      stats->cluster_fetches += store.size();
+    }
+    RunChunked(pool, nchunks, 1, [&](unsigned, size_t c, size_t, size_t) {
+      ChunkOut& part = parts[c];
       for (size_t i = 0; i < k; ++i) {
-        const Expansion& ent = pools[i][entry_idx[i]];
-        const double est = ent.expanded
-                               ? static_cast<double>(ent.values.size())
-                               : ent.centers.size() * ctx[i].avg_sub;
-        if (i == 0 || est < driver_est) {
-          driver = i;
-          driver_est = est;
+        const size_t sd = static_cast<size_t>(side_of(i));
+        for (Expansion& ent : part.pools[i]) {
+          if (!ent.marked || ent.expanded) continue;
+          part.pairs_emitted += stores[sd].Expand(
+              ent.centers, &ent.values,
+              earlier != nullptr ? &earlier[sd] : nullptr);
+          if (bitmap_threshold != 0 &&
+              ent.values.size() >= bitmap_threshold) {
+            BuildChunkedBitmap(ent.values.data(), ent.values.size(),
+                               &ent.chunk_ids, &ent.words);
+          }
+          ent.expanded = true;
         }
       }
-      {
-        Status s = expand(ctx[driver], &pools[driver][entry_idx[driver]]);
-        if (!s.ok()) {
-          errs[c] = std::move(s);
-          return;
-        }
-      }
-      if (pools[driver][entry_idx[driver]].values.empty()) {
-        ++part.rows_pruned;
-        continue;
-      }
-      const double driver_size = static_cast<double>(
-          pools[driver][entry_idx[driver]].values.size());
+    });
+    return Status::OK();
+  };
 
-      // Partition the remaining constraints: materialize near-driver-
-      // sized expansions for the k-way intersection, degrade the rest
-      // to per-candidate reachability probes.
-      set_idx.clear();
+  // Round 1 expands the drivers. Round 2 marks, per surviving row, the
+  // other constraints whose estimate is near the driver's actual size
+  // (the rest stay per-candidate probes), and expands those.
+  {
+    SubclusterStore drivers[2], others[2];
+    FGPM_RETURN_IF_ERROR(expand_marked(nullptr, drivers));
+    RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
+                                       size_t end) {
+      ChunkOut& part = parts[c];
+      for (size_t r = begin; r < end; ++r) {
+        const uint8_t d = part.driver[r - begin];
+        if (d == kDropped) continue;
+        const uint32_t* entry = &part.entry[(r - begin) * k];
+        const double driver_size =
+            static_cast<double>(part.pools[d][entry[d]].values.size());
+        if (driver_size == 0) {
+          part.driver[r - begin] = kDropped;
+          ++part.rows_pruned;
+          continue;
+        }
+        for (size_t i = 0; i < k; ++i) {
+          Expansion& ent = part.pools[i][entry[i]];
+          if (i != d && est_of(i, ent) <= kMaterializeSlack * driver_size) {
+            ent.marked = true;
+          }
+        }
+      }
+    });
+    FGPM_RETURN_IF_ERROR(expand_marked(drivers, others));
+  }
+
+  // Pass 3: per surviving row, intersect the expanded constraints (the
+  // driver first) and verify the rest by reachability probes.
+  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+                                     size_t end) {
+    ChunkOut& part = parts[c];
+    part.kept.resize(new_pending.size());
+    ExecScratch::Worker* ws =
+        scratch != nullptr && wk < scratch->workers.size()
+            ? &scratch->workers[wk]
+            : nullptr;
+    ReachMemo* memo = use_memo && ws != nullptr ? &ws->select_memo : nullptr;
+    GraphCodeRecord local_rx, local_ry;
+    GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
+    GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
+    std::vector<uint32_t> out_buf, tmp_buf;
+    std::vector<SortedSetView> views;
+    std::vector<size_t> probe_idx;
+    for (size_t r = begin; r < end; ++r) {
+      const uint8_t driver = part.driver[r - begin];
+      if (driver == kDropped) continue;
+      const uint32_t* entry = &part.entry[(r - begin) * k];
+      const Expansion& d = part.pools[driver][entry[driver]];
+      views.clear();
       probe_idx.clear();
-      set_idx.push_back(driver);
+      views.push_back(d.View());
       for (size_t i = 0; i < k; ++i) {
         if (i == driver) continue;
-        Expansion& ent = pools[i][entry_idx[i]];
-        const double est = ent.expanded
-                               ? static_cast<double>(ent.values.size())
-                               : ent.centers.size() * ctx[i].avg_sub;
-        if (ent.expanded || est <= kMaterializeSlack * driver_size) {
-          Status s = expand(ctx[i], &ent);
-          if (!s.ok()) {
-            errs[c] = std::move(s);
-            return;
-          }
-          set_idx.push_back(i);
+        const Expansion& ent = part.pools[i][entry[i]];
+        if (ent.expanded) {
+          views.push_back(ent.View());
         } else {
           probe_idx.push_back(i);
         }
@@ -335,15 +390,11 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
 
       const uint32_t* cand = nullptr;
       size_t ncand = 0;
-      if (set_idx.size() == 1) {
-        const Expansion& d = pools[driver][entry_idx[driver]];
+      if (views.size() == 1) {
         cand = d.values.data();
         ncand = d.values.size();
       } else {
-        views.clear();
-        for (size_t i : set_idx) views.push_back(pools[i][entry_idx[i]].View());
-        const size_t need =
-            pools[driver][entry_idx[driver]].values.size() + kIntersectPad;
+        const size_t need = d.values.size() + kIntersectPad;
         if (out_buf.size() < need) out_buf.resize(need);
         if (tmp_buf.size() < need) tmp_buf.resize(need);
         ncand = IntersectKWayU32(views.data(), views.size(), out_buf.data(),
@@ -402,6 +453,8 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
         }
       }
     }
+    part.pools.clear();
+    part.pools.shrink_to_fit();
   });
   FGPM_RETURN_IF_ERROR(FirstError(errs));
 
@@ -411,7 +464,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
-    stats->cluster_fetches += part.cluster_fetches;
     stats->pairs_emitted += part.pairs_emitted;
     stats->kway_intersect_probes += part.kway.probes;
     stats->kway_intersect_hits += part.kway.hits;

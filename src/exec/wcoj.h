@@ -16,9 +16,14 @@
 //
 // Expansions are memoized per (probed node, constraint) within a row
 // chunk — rows repeating a bound node share one expansion, mirroring
-// the filter/fetch pool dedup. Chunks emit into local buffers merged in
-// chunk order, so the produced rows are identical for every thread
-// count (the work counters, as everywhere, are not).
+// the filter/fetch pool dedup. The operator first fixes every row's
+// entries and driver, then expands the marked entries in two rounds
+// (drivers, then the constraints near the driver's actual size), each
+// reading the subclusters it needs once, in key order, through a
+// SubclusterStore. Chunks emit into local buffers merged in chunk
+// order, so the produced rows — and the subclusters read — are
+// identical for every thread count (the memo-affected counters are
+// not).
 //
 // The bound vertex becomes a new delta level of the factorized table.
 // Pending filter slots (hybrid plans can bind mid-pipeline) are carried

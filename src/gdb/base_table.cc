@@ -22,9 +22,10 @@ Status BaseTable::Update(const GraphCodeRecord& rec) {
 
 Status BaseTable::Get(NodeId node, GraphCodeRecord* rec) const {
   FGPM_ASSIGN_OR_RETURN(uint64_t packed, primary_.Lookup(node));
-  std::string bytes;
-  FGPM_RETURN_IF_ERROR(heap_.Read(Rid::Unpack(packed), &bytes));
-  return DecodeGraphCodes({bytes.data(), bytes.size()}, rec);
+  HeapFile::Reader reader(heap_);
+  FGPM_ASSIGN_OR_RETURN(std::span<const char> bytes,
+                        reader.Read(Rid::Unpack(packed)));
+  return DecodeGraphCodes(bytes, rec);
 }
 
 Status BaseTable::Scan(
@@ -32,13 +33,17 @@ Status BaseTable::Scan(
   // Drive the scan from the primary index so superseded record versions
   // (left behind by Update's append-only rewrites) are never surfaced.
   Status inner;
+  HeapFile::Reader reader(heap_);
   FGPM_RETURN_IF_ERROR(primary_.ScanRange(
       0, ~0ull, [&](uint64_t /*node*/, uint64_t packed_rid) {
-        std::string bytes;
-        inner = heap_.Read(Rid::Unpack(packed_rid), &bytes);
-        if (!inner.ok()) return false;
+        Result<std::span<const char>> bytes =
+            reader.Read(Rid::Unpack(packed_rid));
+        if (!bytes.ok()) {
+          inner = bytes.status();
+          return false;
+        }
         GraphCodeRecord rec;
-        inner = DecodeGraphCodes({bytes.data(), bytes.size()}, &rec);
+        inner = DecodeGraphCodes(*bytes, &rec);
         if (!inner.ok()) return false;
         fn(rec);
         return true;

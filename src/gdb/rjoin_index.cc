@@ -49,9 +49,15 @@ Result<uint64_t> NodeListStore::Put(const std::vector<uint32_t>& ids) {
 Status NodeListStore::Get(uint64_t handle,
                           std::vector<uint32_t>* out) const {
   out->clear();
-  std::string bytes;
+  HeapFile::Reader reader(heap_);
+  return AppendTo(handle, &reader, out);
+}
+
+Status NodeListStore::AppendTo(uint64_t handle, HeapFile::Reader* reader,
+                               std::vector<uint32_t>* out) const {
   while (handle != kNullHandle) {
-    FGPM_RETURN_IF_ERROR(heap_.Read(Rid::Unpack(handle), &bytes));
+    FGPM_ASSIGN_OR_RETURN(std::span<const char> bytes,
+                          reader->Read(Rid::Unpack(handle)));
     if (bytes.size() < kChunkHeader) {
       return Status::Corruption("node list chunk too short");
     }
@@ -155,6 +161,27 @@ Status RJoinIndex::GetCluster(CenterId w, Side side, LabelId label,
   return store_.Get(*handle, out);
 }
 
+Status RJoinIndex::ReadSubclusters(std::span<const CenterId> centers,
+                                   Side side, LabelId label,
+                                   SubclusterRun* out) const {
+  // A fixed (side, label) keeps the directory keys in center order.
+  std::vector<uint64_t> keys(centers.size());
+  for (size_t i = 0; i < centers.size(); ++i) {
+    keys[i] = DirectoryKey(centers[i], side, label);
+  }
+  std::vector<uint64_t> handles(centers.size(), kNullHandle);
+  FGPM_RETURN_IF_ERROR(directory_.LookupSorted(
+      keys, [&](size_t i, uint64_t handle) { handles[i] = handle; }));
+  out->offsets.assign(1, 0);
+  out->offsets.reserve(centers.size() + 1);
+  out->ids.clear();
+  HeapFile::Reader reader = store_.NewReader();
+  for (uint64_t handle : handles) {
+    FGPM_RETURN_IF_ERROR(store_.AppendTo(handle, &reader, &out->ids));
+    out->offsets.push_back(out->ids.size());
+  }
+  return Status::OK();
+}
 
 void RJoinIndex::SaveMeta(BinaryWriter* w) const {
   store_.SaveMeta(w);

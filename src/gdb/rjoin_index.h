@@ -11,6 +11,7 @@
 #define FGPM_GDB_RJOIN_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +35,12 @@ class NodeListStore {
   // Reads the full list behind a handle.
   Status Get(uint64_t handle, std::vector<uint32_t>* out) const;
 
+  // Appends the list behind a handle to `out`, copying each chunk's ids
+  // straight from its page through `reader` (see HeapFile::Reader).
+  Status AppendTo(uint64_t handle, HeapFile::Reader* reader,
+                  std::vector<uint32_t>* out) const;
+  HeapFile::Reader NewReader() const { return HeapFile::Reader(heap_); }
+
   // Number of chunk pages a list of this size occupies (for costing).
   static uint32_t PagesFor(uint64_t count);
 
@@ -48,6 +55,18 @@ class NodeListStore {
   explicit NodeListStore(HeapFile heap) : heap_(std::move(heap)) {}
 
   HeapFile heap_;
+};
+
+// Subclusters of a run of centers, concatenated: subcluster i is
+// ids[offsets[i], offsets[i + 1]).
+struct SubclusterRun {
+  std::vector<uint64_t> offsets;
+  std::vector<NodeId> ids;
+
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const NodeId> operator[](size_t i) const {
+    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
 };
 
 class RJoinIndex {
@@ -79,6 +98,14 @@ class RJoinIndex {
   Status GetT(CenterId w, LabelId y, std::vector<NodeId>* out) const {
     return GetCluster(w, Side::kT, y, out);
   }
+
+  // Batch read: the `side`/`label` subcluster of every center in
+  // `centers` (ascending, distinct) into `out`, in directory-key order —
+  // one BPTree::LookupSorted walk over the directory, then one pass over
+  // the chunk pages that keeps a page pinned while consecutive chunks
+  // share it. A missing subcluster reads as empty.
+  Status ReadSubclusters(std::span<const CenterId> centers, Side side,
+                         LabelId label, SubclusterRun* out) const;
 
   uint64_t NumSubclusters() const { return directory_.NumEntries(); }
   uint64_t TotalEntries() const { return total_entries_; }

@@ -43,9 +43,9 @@ void SetChildAt(Page& p, size_t i, PageId c) {
   p.Write<PageId>(kChildOff + i * 4, c);
 }
 
-// First index with keys[i] >= key.
-size_t LowerBound(const Page& p, uint64_t key) {
-  size_t lo = 0, hi = NumKeys(p);
+// First index >= lo with keys[i] >= key.
+size_t LowerBound(const Page& p, uint64_t key, size_t lo = 0) {
+  size_t hi = NumKeys(p);
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
     if (KeyAt(p, mid) < key) {
@@ -92,23 +92,59 @@ BPTree::BPTree(BufferPool* pool) : pool_(pool) {
   root_ = g->id();
 }
 
-Result<PageId> BPTree::FindLeaf(uint64_t key) const {
+Result<PageGuard> BPTree::FindLeaf(uint64_t key) const {
   PageId cur = root_;
   for (;;) {
     FGPM_ASSIGN_OR_RETURN(PageGuard g, pool_->Fetch(cur));
     const Page& p = g.page();
-    if (IsLeaf(p)) return cur;
+    if (IsLeaf(p)) return g;
     cur = ChildAt(p, ChildIndex(p, key));
   }
 }
 
 Result<uint64_t> BPTree::Lookup(uint64_t key) const {
-  FGPM_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  FGPM_ASSIGN_OR_RETURN(PageGuard g, pool_->Fetch(leaf));
-  const Page& p = g.page();
-  size_t i = LowerBound(p, key);
-  if (i < NumKeys(p) && KeyAt(p, i) == key) return ValueAt(p, i);
-  return Status::NotFound("key not in tree");
+  std::optional<uint64_t> value;
+  FGPM_RETURN_IF_ERROR(LookupSorted(
+      {&key, 1}, [&](size_t, uint64_t v) { value = v; }));
+  if (!value) return Status::NotFound("key not in tree");
+  return *value;
+}
+
+Status BPTree::LookupSorted(
+    std::span<const uint64_t> keys,
+    const std::function<void(size_t, uint64_t)>& found) const {
+  // Leaves hold consecutive runs of the key order, so a key above the
+  // pinned leaf's last key lies in a later leaf (or nowhere).
+  auto past = [](const Page& p, uint64_t key) {
+    uint16_t n = NumKeys(p);
+    return n == 0 || key > KeyAt(p, n - 1);
+  };
+  PageGuard leaf;
+  size_t pos = 0;  // keys ascend, so each search resumes here
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t key = keys[i];
+    if (leaf.valid() && past(leaf.page(), key)) {
+      PageId next = leaf.page().Read<PageId>(kNextOff);
+      if (next != kInvalidPage) {
+        leaf.Release();
+        FGPM_ASSIGN_OR_RETURN(leaf, pool_->Fetch(next));
+        pos = 0;
+        // Past the next leaf too: descend rather than walk the chain.
+        if (past(leaf.page(), key) &&
+            leaf.page().Read<PageId>(kNextOff) != kInvalidPage) {
+          leaf.Release();
+        }
+      }
+    }
+    if (!leaf.valid()) {
+      FGPM_ASSIGN_OR_RETURN(leaf, FindLeaf(key));
+      pos = 0;
+    }
+    const Page& p = leaf.page();
+    pos = LowerBound(p, key, pos);
+    if (pos < NumKeys(p) && KeyAt(p, pos) == key) found(i, ValueAt(p, pos));
+  }
+  return Status::OK();
 }
 
 Result<std::optional<BPTree::SplitInfo>> BPTree::InsertRec(
@@ -252,8 +288,7 @@ Status BPTree::Upsert(uint64_t key, uint64_t value) {
 }
 
 Status BPTree::Delete(uint64_t key) {
-  FGPM_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  FGPM_ASSIGN_OR_RETURN(PageGuard g, pool_->Fetch(leaf));
+  FGPM_ASSIGN_OR_RETURN(PageGuard g, FindLeaf(key));
   Page& p = g.MutablePage();
   size_t i = LowerBound(p, key);
   uint16_t n = NumKeys(p);
@@ -285,21 +320,22 @@ Result<BPTree> BPTree::AttachMeta(BufferPool* pool, BinaryReader* r) {
 Status BPTree::ScanRange(
     uint64_t lo, uint64_t hi,
     const std::function<bool(uint64_t, uint64_t)>& fn) const {
-  FGPM_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(lo));
-  PageId cur = leaf;
-  while (cur != kInvalidPage) {
-    FGPM_ASSIGN_OR_RETURN(PageGuard g, pool_->Fetch(cur));
+  FGPM_ASSIGN_OR_RETURN(PageGuard g, FindLeaf(lo));
+  size_t start = LowerBound(g.page(), lo);
+  for (;;) {
     const Page& p = g.page();
     uint16_t n = NumKeys(p);
-    size_t start = (cur == leaf) ? LowerBound(p, lo) : 0;
     for (size_t i = start; i < n; ++i) {
       uint64_t k = KeyAt(p, i);
       if (k > hi) return Status::OK();
       if (!fn(k, ValueAt(p, i))) return Status::OK();
     }
-    cur = p.Read<PageId>(kNextOff);
+    PageId next = p.Read<PageId>(kNextOff);
+    if (next == kInvalidPage) return Status::OK();
+    g.Release();
+    FGPM_ASSIGN_OR_RETURN(g, pool_->Fetch(next));
+    start = 0;
   }
-  return Status::OK();
 }
 
 }  // namespace fgpm

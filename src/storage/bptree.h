@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "common/serialize.h"
 #include "common/status.h"
@@ -33,8 +34,18 @@ class BPTree {
   // Inserts or overwrites.
   Status Upsert(uint64_t key, uint64_t value);
 
-  // Point lookup.
+  // Point lookup: the one-key case of LookupSorted (Height() pool
+  // accesses).
   Result<uint64_t> Lookup(uint64_t key) const;
+
+  // Batch lookup of ascending keys (duplicates allowed): calls
+  // found(i, value) for every keys[i] present, in order. Descends once,
+  // then walks leaves left to right through the next-leaf links,
+  // descending again only when a key lies past the next leaf — so a run
+  // of keys sharing leaves costs one pool access per leaf, not a
+  // descent per key.
+  Status LookupSorted(std::span<const uint64_t> keys,
+                      const std::function<void(size_t, uint64_t)>& found) const;
   bool Contains(uint64_t key) const { return Lookup(key).ok(); }
 
   // Removes a key. NotFound if absent.
@@ -72,7 +83,9 @@ class BPTree {
   Result<std::optional<SplitInfo>> InsertRec(PageId node, uint64_t key,
                                              uint64_t value, bool overwrite,
                                              bool* inserted);
-  Result<PageId> FindLeaf(uint64_t key) const;
+  // Descends to the leaf that holds (or would hold) `key`; the leaf
+  // comes back pinned.
+  Result<PageGuard> FindLeaf(uint64_t key) const;
 
   BufferPool* pool_;
   PageId root_ = kInvalidPage;

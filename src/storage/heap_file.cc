@@ -26,15 +26,17 @@ Result<Rid> HeapFile::Append(std::span<const char> record) {
   return Rid{g.id(), *slot};
 }
 
-Status HeapFile::Read(const Rid& rid, std::string* out) const {
-  FGPM_ASSIGN_OR_RETURN(PageGuard g, pool_->Fetch(rid.page));
+Result<std::span<const char>> HeapFile::Reader::Read(const Rid& rid) {
+  if (!guard_.valid() || guard_.id() != rid.page) {
+    guard_.Release();
+    FGPM_ASSIGN_OR_RETURN(guard_, pool_->Fetch(rid.page));
+  }
   // SlottedPage is a read-only view here; const_cast avoids a second,
   // const view class.
-  SlottedPage sp(const_cast<Page*>(&g.page()));
+  SlottedPage sp(const_cast<Page*>(&guard_.page()));
   auto rec = sp.Get(rid.slot);
   if (!rec) return Status::NotFound("no record at rid");
-  out->assign(rec->data(), rec->size());
-  return Status::OK();
+  return *rec;
 }
 
 void HeapFile::SaveMeta(BinaryWriter* w) const {

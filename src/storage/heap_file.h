@@ -6,7 +6,6 @@
 
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/serialize.h"
@@ -27,8 +26,19 @@ class HeapFile {
   // Appends a record (<= SlottedPage::kMaxRecordSize bytes).
   Result<Rid> Append(std::span<const char> record);
 
-  // Reads a record into `out`.
-  Status Read(const Rid& rid, std::string* out) const;
+  // Reads records in place, under the pin of the page that holds them.
+  // The pin is kept while consecutive reads land on the same page, so a
+  // run of records sharing a page costs one pool access. A returned span
+  // stays valid until the next Read or the reader's destruction.
+  class Reader {
+   public:
+    explicit Reader(const HeapFile& file) : pool_(file.pool_) {}
+    Result<std::span<const char>> Read(const Rid& rid);
+
+   private:
+    BufferPool* pool_;
+    PageGuard guard_;
+  };
 
   // Invokes fn(rid, bytes) for every live record in file order.
   Status Scan(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "exec/engine.h"
 #include "exec/naive_matcher.h"
@@ -430,6 +431,41 @@ TEST_F(ExecFixture, PendingSlotsSurviveSelect) {
                 PlanStep::Select(2),            // prunes rows, keeps pending
                 PlanStep::Fetch(3, true)};
   ExpectMatchesNaive(p, plan);
+}
+
+// A fetch reads the subcluster of each distinct center of its used pool
+// entries once, however many entries share the center, at any thread
+// count.
+TEST_F(ExecFixture, FetchReadsEachDistinctCenterOnce) {
+  BuildDb(gen::ErdosRenyi(200, 700, 4, 31));
+  auto p = Pattern::Parse("L0->L1; L1->L2");
+  ASSERT_TRUE(p.ok());
+  std::vector<LabelId> labels;
+  for (PatternNodeId i = 0; i < p->num_nodes(); ++i) {
+    labels.push_back(*db_->catalog().FindLabel(p->label(i)));
+  }
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    TemporalTable t;
+    OperatorStats st;
+    ASSERT_TRUE(HpsjBaseJoin(*db_, *p, labels, 0, &t, &st, &pool).ok());
+    ASSERT_TRUE(ApplyFilter(*db_, *p, labels, {{1, true}}, &t, &st, &pool)
+                    .ok());
+    ASSERT_EQ(t.pending().size(), 1u);
+    const TemporalTable::PendingSlot& slot = t.pending()[0];
+    std::set<uint32_t> used(slot.row_index.begin(), slot.row_index.end());
+    std::set<CenterId> centers;
+    uint64_t per_entry = 0;
+    for (uint32_t idx : used) {
+      centers.insert(slot.pool[idx].begin(), slot.pool[idx].end());
+      per_entry += slot.pool[idx].size();
+    }
+    ASSERT_FALSE(centers.empty());
+    EXPECT_GT(per_entry, centers.size());  // entries do share centers
+    OperatorStats fetch;
+    ASSERT_TRUE(ApplyFetch(*db_, *p, labels, 1, true, &t, &fetch, &pool).ok());
+    EXPECT_EQ(fetch.cluster_fetches, centers.size()) << threads;
+  }
 }
 
 TEST_F(ExecFixture, TemporalIoChargedPerPass) {

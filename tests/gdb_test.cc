@@ -165,6 +165,54 @@ TEST_F(GdbFixture, ClusterPairsAreReachable) {
   }
 }
 
+// The batch read returns what per-center GetF/GetT return, absent
+// subclusters as empty ones, for dense and sparse center runs.
+void ExpectBatchMatchesPointReads(const GraphDatabase& db, const Graph& g) {
+  const RJoinIndex& idx = db.rjoin_index();
+  std::vector<CenterId> dense, sparse;
+  for (CenterId w = 0; w < g.NumNodes() + 3; ++w) {
+    dense.push_back(w);
+    if (w % 7 == 3) sparse.push_back(w);
+  }
+  for (const std::vector<CenterId>* centers : {&dense, &sparse}) {
+    for (LabelId l = 0; l < g.NumLabels(); ++l) {
+      for (RJoinIndex::Side side : {RJoinIndex::Side::kF,
+                                    RJoinIndex::Side::kT}) {
+        SubclusterRun run;
+        ASSERT_TRUE(idx.ReadSubclusters(*centers, side, l, &run).ok());
+        ASSERT_EQ(run.size(), centers->size());
+        std::vector<NodeId> want;
+        for (size_t i = 0; i < centers->size(); ++i) {
+          CenterId w = (*centers)[i];
+          ASSERT_TRUE((side == RJoinIndex::Side::kF ? idx.GetF(w, l, &want)
+                                                    : idx.GetT(w, l, &want))
+                          .ok());
+          EXPECT_TRUE(std::ranges::equal(run[i], want))
+              << "center " << w << " label " << l;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GdbFixture, ReadSubclustersMatchesGetFAndGetT) {
+  BuildDb(gen::ErdosRenyi(150, 450, 4, 23));
+  ExpectBatchMatchesPointReads(*db_, *graph_);
+  // Inserts rewrite node lists and repoint their directory handles.
+  Rng rng(29);
+  int applied = 0;
+  while (applied < 25) {
+    NodeId u = static_cast<NodeId>(rng.NextBounded(graph_->NumNodes()));
+    NodeId v = static_cast<NodeId>(rng.NextBounded(graph_->NumNodes()));
+    if (u == v || db_->labeling().Reaches(v, u)) continue;  // keep SCCs
+    ASSERT_TRUE(graph_->AddEdge(u, v).ok());
+    graph_->Finalize();
+    ASSERT_TRUE(db_->ApplyEdgeInsert(*graph_, u, v).ok());
+    ++applied;
+  }
+  ExpectBatchMatchesPointReads(*db_, *graph_);
+}
+
 TEST_F(GdbFixture, EveryReachablePairCoveredBySomeCenter) {
   BuildDb(gen::ErdosRenyi(100, 300, 3, 19));
   ReachOracle oracle(graph_.get());

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "graph/generators.h"
 #include "opt/dps_optimizer.h"
 #include "opt/explain.h"
+#include "opt/wcoj_planner.h"
 #include "workload/patterns.h"
 
 namespace fgpm {
@@ -100,19 +102,27 @@ class MaterializationFixture : public ::testing::Test {
 
   // Same database, same plan, several thread counts: rows must be
   // identical in identical ORDER (a stronger contract than set
-  // equality; see operators.h).
+  // equality; see operators.h), and so must the subclusters read and
+  // the modeled I/O. A warm-up run first fills the code cache, whose
+  // misses would otherwise be charged to the first run alone.
   void ExpectThreadCountsAgreeOnPlan(const Pattern& p, const Plan& plan) {
-    std::vector<std::vector<NodeId>> reference;
-    for (unsigned threads : {1u, 4u, 8u}) {
+    ASSERT_TRUE(Executor(db_.get()).Execute(p, plan).ok());
+    std::optional<MatchResult> reference;
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
       Executor exec(db_.get(), ExecOptions{.num_threads = threads});
       auto r = exec.Execute(p, plan);
       ASSERT_TRUE(r.ok()) << r.status();
-      if (threads == 1) {
-        reference = r->rows;
-      } else {
-        EXPECT_EQ(r->rows, reference)
-            << "threads=" << threads << " pattern " << p.ToString();
+      if (!reference) {
+        reference = std::move(*r);
+        continue;
       }
+      EXPECT_EQ(r->rows, reference->rows)
+          << "threads=" << threads << " pattern " << p.ToString();
+      EXPECT_EQ(r->stats.operators.cluster_fetches,
+                reference->stats.operators.cluster_fetches)
+          << "threads=" << threads << " pattern " << p.ToString();
+      EXPECT_EQ(r->stats.modeled_io_pages, reference->stats.modeled_io_pages)
+          << "threads=" << threads << " pattern " << p.ToString();
     }
   }
 
@@ -131,6 +141,20 @@ TEST_F(MaterializationFixture, FixedPlansRowOrderIdenticalAcrossModes) {
     ASSERT_TRUE(p.ok());
     auto plan = OptimizeDps(*p, db_->catalog());
     ASSERT_TRUE(plan.ok()) << plan.status();
+    ExpectThreadCountsAgreeOnPlan(*p, *plan);
+  }
+}
+
+TEST_F(MaterializationFixture, FixedBindPlansAgreeAcrossThreadCounts) {
+  BuildDb(gen::ErdosRenyi(220, 700, 5, 19));
+  for (const char* q : {"L0->L1; L1->L2; L0->L2",
+                        "L0->L1; L1->L2; L2->L3; L0->L3; L0->L2; L1->L3",
+                        "L0->L1; L1->L2; L2->L0"}) {
+    auto p = Pattern::Parse(q);
+    ASSERT_TRUE(p.ok());
+    auto plan = MakeWcojPlan(*p, db_->catalog());
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->steps.back().kind, StepKind::kWcojBind);
     ExpectThreadCountsAgreeOnPlan(*p, *plan);
   }
 }

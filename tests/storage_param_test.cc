@@ -157,10 +157,11 @@ TEST_P(HeapFileSweep, MixedRecordSizesRoundTrip) {
     ASSERT_TRUE(rid.ok()) << i;
     records[i] = {*rid, rec};
   }
+  HeapFile::Reader reader(hf);
   for (const auto& [i, pair] : records) {
-    std::string out;
-    ASSERT_TRUE(hf.Read(pair.first, &out).ok()) << i;
-    EXPECT_EQ(out, pair.second) << i;
+    auto rec = reader.Read(pair.first);
+    ASSERT_TRUE(rec.ok()) << i;
+    EXPECT_EQ(std::string(rec->data(), rec->size()), pair.second) << i;
   }
 }
 

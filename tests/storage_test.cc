@@ -181,9 +181,10 @@ TEST(HeapFileTest, AppendReadScan) {
     rids.push_back(*rid);
   }
   EXPECT_EQ(hf.NumRecords(), 1000u);
-  std::string out;
-  ASSERT_TRUE(hf.Read(rids[537], &out).ok());
-  EXPECT_EQ(out, "record-537");
+  HeapFile::Reader reader(hf);
+  auto rec = reader.Read(rids[537]);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(std::string(rec->data(), rec->size()), "record-537");
   int seen = 0;
   ASSERT_TRUE(hf.Scan([&](const Rid&, std::span<const char> rec) {
                  ++seen;
@@ -335,6 +336,99 @@ TEST(BPTreeTest, MatchesStdMapUnderRandomOps) {
     }
   }
   EXPECT_EQ(tree.NumEntries(), ref.size());
+}
+
+uint64_t PoolAccesses(const BufferPool& pool) {
+  BufferPoolStats s = pool.stats();
+  return s.hits + s.misses;
+}
+
+TEST(BPTreeTest, PointLookupCostsHeightPoolAccesses) {
+  DiskManager disk;
+  BufferPool pool(&disk);
+  BPTree tree(&pool);
+  // Sequential inserts leave leaves half full; ~200k keys reach height 3.
+  for (uint64_t n : {100u, 20000u, 200000u}) {
+    for (uint64_t k = tree.NumEntries(); k < n; ++k) {
+      ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+    }
+    for (uint64_t k : {uint64_t{0}, n / 2, n - 1, n + 5}) {
+      uint64_t before = PoolAccesses(pool);
+      auto v = tree.Lookup(k);
+      EXPECT_EQ(PoolAccesses(pool) - before, tree.Height()) << n << " " << k;
+      EXPECT_EQ(v.ok(), k < n);
+    }
+  }
+  EXPECT_EQ(tree.Height(), 3u);
+}
+
+// LookupSorted must report exactly the keys Lookup finds, with their
+// values, for every kind of sorted batch.
+void ExpectBatchMatchesLookup(const BPTree& tree,
+                              const std::vector<uint64_t>& keys) {
+  std::vector<std::pair<size_t, uint64_t>> got;
+  ASSERT_TRUE(tree.LookupSorted(keys, [&](size_t i, uint64_t v) {
+                    got.emplace_back(i, v);
+                  }).ok());
+  std::vector<std::pair<size_t, uint64_t>> want;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto v = tree.Lookup(keys[i]);
+    if (v.ok()) want.emplace_back(i, *v);
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(BPTreeTest, LookupSortedMatchesLookup) {
+  for (uint64_t n : {300u, 30000u, 200000u}) {
+    DiskManager disk;
+    BufferPool pool(&disk);
+    BPTree tree(&pool);
+    // Every third key is present, so absent keys sit between leaves too.
+    for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(tree.Insert(3 * i, i).ok());
+    const uint64_t last = 3 * (n - 1);
+    Rng rng(n);
+    auto random_batch = [&](size_t size, uint64_t hi) {
+      std::vector<uint64_t> keys;
+      for (size_t j = 0; j < size; ++j) keys.push_back(rng.NextBounded(hi));
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    };
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " round=" +
+                   std::to_string(round) +
+                   " height=" + std::to_string(tree.Height()));
+      ExpectBatchMatchesLookup(tree, {});
+      ExpectBatchMatchesLookup(tree, {0, last, last + 1});
+      // Sparse: duplicates are likely, gaps span many leaves.
+      ExpectBatchMatchesLookup(tree, random_batch(200, last + 10));
+      // Dense: runs through consecutive leaves with absent keys mixed in.
+      ExpectBatchMatchesLookup(tree, random_batch(3 * n, last + 10));
+      std::vector<uint64_t> dups = {0, 0, 1, 1, last, last, last + 3,
+                                    last + 3};
+      ExpectBatchMatchesLookup(tree, dups);
+      // A dense run costs one pool access per leaf plus the descent, far
+      // below a descent per key.
+      std::vector<uint64_t> all;
+      ASSERT_TRUE(tree.ScanRange(0, ~0ull, [&](uint64_t k, uint64_t) {
+                        all.push_back(k);
+                        return true;
+                      }).ok());
+      uint64_t before = PoolAccesses(pool);
+      size_t found = 0;
+      ASSERT_TRUE(tree.LookupSorted(all, [&](size_t, uint64_t) {
+                        ++found;
+                      }).ok());
+      EXPECT_EQ(found, tree.NumEntries());
+      // Split leaves keep >= 255 keys; only the rightmost may hold fewer.
+      uint64_t leaves = (tree.NumEntries() + 254) / 255 + 1;
+      EXPECT_LE(PoolAccesses(pool) - before, tree.Height() + leaves);
+      // Upsert: overwrite some values, add keys that split leaves.
+      for (uint64_t i = 0; i < n; i += 7) {
+        ASSERT_TRUE(tree.Upsert(3 * i, ~i).ok());
+        ASSERT_TRUE(tree.Upsert(3 * i + 1, i).ok());
+      }
+    }
+  }
 }
 
 TEST(BPTreeTest, WorksWithTinyBufferPool) {
