@@ -8,10 +8,10 @@
 //    containers exist for). A deep grid DAG keeps hub codes long —
 //    grid reachability is the classic worst case for 2-hop label sizes.
 //  * e2e — the Figure-6 DPS pattern suite on an XMark-like graph,
-//    baseline (no reachability memo, no bitmaps) vs optimized
-//    (per-worker memos, default bitmap threshold); both run the
-//    dispatched kernels. Row sets are checked identical; only time may
-//    differ.
+//    baseline (no bitmap sidecars) vs optimized (default bitmap
+//    threshold); both run the dispatched kernels, so the two differ only
+//    in code_bitmap_threshold. Row sets are checked identical; only time
+//    may differ.
 //
 // Results go to BENCH_codes.json.
 #include <algorithm>
@@ -81,8 +81,6 @@ struct E2eCell {
   std::string config;  // baseline | optimized
   double total_ms = 0;
   uint64_t total_rows = 0;
-  uint64_t memo_probes = 0;
-  uint64_t memo_hits = 0;
 };
 
 }  // namespace
@@ -216,10 +214,7 @@ int main(int argc, char** argv) {
 
   auto run_config = [&](const char* name, bool optimized) {
     GraphDatabaseOptions opts;
-    if (!optimized) {
-      opts.code_bitmap_threshold = 0;
-      opts.reach_cache_entries = 0;
-    }
+    if (!optimized) opts.code_bitmap_threshold = 0;
     auto matcher = GraphMatcher::Create(&xg, opts);
     FGPM_CHECK(matcher.ok());
     E2eCell cell;
@@ -231,8 +226,6 @@ int main(int argc, char** argv) {
         auto r = (*matcher)->Match(p, {.engine = Engine::kDps});
         FGPM_CHECK(r.ok());
         best = std::min(best, r->stats.elapsed_ms);
-        cell.memo_probes += r->stats.operators.reach_memo_probes;
-        cell.memo_hits += r->stats.operators.reach_memo_hits;
         if (rep == 0) {
           r->SortRows();
           cell.total_rows += r->rows.size();
@@ -241,12 +234,9 @@ int main(int argc, char** argv) {
       }
       cell.total_ms += best;
     }
-    std::printf("e2e %-9s: %8.2f ms over %zu queries, %llu rows "
-                "(memo %llu/%llu hits)\n",
-                name, cell.total_ms, patterns.size(),
-                (unsigned long long)cell.total_rows,
-                (unsigned long long)cell.memo_hits,
-                (unsigned long long)cell.memo_probes);
+    std::printf("e2e %-9s: %8.2f ms over %zu queries, %llu rows\n", name,
+                cell.total_ms, patterns.size(),
+                (unsigned long long)cell.total_rows);
     return std::make_pair(cell, rows_per_query);
   };
 
@@ -287,12 +277,9 @@ int main(int argc, char** argv) {
                "  \"e2e\": {\"workload\": \"fig6_dps_xmark\", "
                "\"xmark_factor\": %.3f, \"queries\": %zu,\n"
                "    \"baseline_ms\": %.2f, \"optimized_ms\": %.2f, "
-               "\"rows\": %llu, \"identical_rows\": true,\n"
-               "    \"memo_probes\": %llu, \"memo_hits\": %llu},\n",
+               "\"rows\": %llu, \"identical_rows\": true},\n",
                xmark_factor, patterns.size(), base_cell.total_ms,
-               opt_cell.total_ms, (unsigned long long)opt_cell.total_rows,
-               (unsigned long long)opt_cell.memo_probes,
-               (unsigned long long)opt_cell.memo_hits);
+               opt_cell.total_ms, (unsigned long long)opt_cell.total_rows);
   std::fprintf(f,
                "  \"speedups\": {\"hub_probe_hybrid_vs_flat\": %.3f, "
                "\"leaf_probe_hybrid_vs_flat\": %.3f, "

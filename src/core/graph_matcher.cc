@@ -302,7 +302,7 @@ Result<bool> GraphMatcher::TryResultCache(
                          replay_cost < fresh_cost)) {
         FGPM_RETURN_IF_ERROR(ReplayContainment(
             *db_, canon.pattern, node_labels, *hit->entry, hit->mapping,
-            executor_.pool(), &replay_memos_, rows, op_stats));
+            executor_.pool(), rows, op_stats));
         *cache_hit = 2;
         cache->RecordContainmentHit();
         // Promote: the replayed rows ARE this pattern's full result, so

@@ -242,10 +242,6 @@ class GraphMatcher {
     uint64_t hits_exact = 0, hits_containment = 0, misses = 0;
     uint64_t evictions = 0, inserts = 0;
   } synced_;
-  // Reused across containment replays: configuring them allocates memo
-  // tables, so per-call construction would dominate small replays (see
-  // ReplayContainment).
-  std::vector<ReachMemo> replay_memos_;
   // Ring of the most recent slow queries (kSlowLogCapacity newest kept).
   std::deque<SlowQuery> slow_queries_;
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/logging.h"
-#include "common/sorted_vector.h"
 #include "gdb/graph_codes.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
@@ -101,7 +98,6 @@ Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
                          const std::vector<LabelId>& node_labels,
                          const ResultCache::Entry& entry,
                          const ContainmentMapping& mapping, ThreadPool* pool,
-                         std::vector<ReachMemo>* memos_pool,
                          std::vector<std::vector<NodeId>>* out_rows,
                          OperatorStats* stats) {
   const size_t arity = entry.arity;
@@ -123,27 +119,9 @@ Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  const unsigned workers = pool != nullptr ? pool->size() : 1;
-  // One reachability memo per worker: residual probes repeat node pairs
-  // exactly like the select operator (the same endpoints recur across
-  // cached rows), so the memo collapses duplicates into one hash probe.
-  // The tables come from the caller's pool — sizing one allocates, so
-  // only first use (or a worker-count bump) pays; repeats epoch-clear.
-  std::vector<ReachMemo>& memos = *memos_pool;
-  if (memos.size() < workers) memos.resize(workers);
-  const size_t memo_entries = db.options().reach_cache_entries;
-  for (auto& m : memos) {
-    if (!m.enabled() && memo_entries > 0) {
-      m.Reset(memo_entries);
-    } else {
-      m.Clear();
-    }
-  }
 
-  auto body = [&](unsigned wk, size_t c, size_t begin, size_t end) {
+  auto body = [&](unsigned, size_t c, size_t begin, size_t end) {
     ChunkOut& part = parts[c];
-    ReachMemo* memo =
-        wk < memos.size() && memos[wk].enabled() ? &memos[wk] : nullptr;
     GraphCodeRecord rx, ry;
     std::vector<NodeId> out(arity);
     for (size_t r = begin; r < end; ++r) {
@@ -152,25 +130,14 @@ Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
       for (PatternNodeId g = 0; g < arity; ++g) out[g2s[g]] = row[g];
       bool keep = true;
       for (const PatternEdge& e : mapping.residual) {
-        const NodeId u = out[e.from], v = out[e.to];
-        bool reachable;
-        uint32_t slot = 0;
-        bool hit = false;
-        if (memo != nullptr) slot = memo->Acquire(PackPair(u, v), &hit);
-        if (hit) {
-          reachable = memo->value(slot) != 0;
-        } else {
-          Status s = db.GetCodes(u, node_labels[e.from], &rx);
-          if (s.ok()) s = db.GetCodes(v, node_labels[e.to], &ry);
-          if (!s.ok()) {
-            errs[c] = std::move(s);
-            return;
-          }
-          part.code_fetches += 2;
-          reachable = SortedIntersects(rx.out, ry.in);
-          if (memo != nullptr) memo->set_value(slot, reachable ? 1u : 0u);
+        Result<bool> reachable =
+            ProbeReach(db, out[e.from], node_labels[e.from], out[e.to],
+                       node_labels[e.to], &rx, &ry, &part.code_fetches);
+        if (!reachable.ok()) {
+          errs[c] = reachable.status();
+          return;
         }
-        if (!reachable) {
+        if (!*reachable) {
           keep = false;
           break;
         }

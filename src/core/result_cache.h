@@ -30,7 +30,6 @@
 #include "gdb/database.h"
 #include "query/containment.h"
 #include "query/pattern.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
@@ -104,18 +103,14 @@ class ResultCache {
 // `entry` (general canonical node order), permute the columns through
 // mapping.general_to_specific into `specific`'s node order, then keep
 // the row iff every residual edge passes a graph-code reachability
-// probe (same check as the select operator, memoized per worker).
+// probe (ProbeReach, the select operator's check).
 // node_labels are `specific`'s labels resolved against the catalog.
 // Appends surviving rows to out_rows in deterministic (chunk-merged)
 // order and folds rows_scanned/rows_pruned/code_fetches into stats.
-// `memos` is the caller-owned per-worker memo pool, reused call over
-// call (sizing a ReachMemo allocates; clearing one is O(1)) — pass the
-// same vector every time.
 Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
                          const std::vector<LabelId>& node_labels,
                          const ResultCache::Entry& entry,
                          const ContainmentMapping& mapping, ThreadPool* pool,
-                         std::vector<ReachMemo>* memos,
                          std::vector<std::vector<NodeId>>* out_rows,
                          OperatorStats* stats);
 

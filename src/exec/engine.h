@@ -67,11 +67,11 @@ struct MatchResult {
 enum class ResultCachePolicy : uint8_t { kCostBased, kAlways, kNever };
 
 // Executor knobs. Result rows are identical for every thread count
-// (see operators.h / temporal_table.h); elapsed time and memo-affected
-// counters (code_fetches, reach_memo_*) may differ because reachability
-// memos are per-worker. num_threads == 1 keeps the sequential code
-// paths. Intermediate results are always factorized (delta columns,
-// rows materialized once at output, selects fused into fetches).
+// (see operators.h / temporal_table.h); elapsed time and code_fetches
+// may differ because the filter and the WCOJ bind dedup probed nodes
+// per row chunk. num_threads == 1 keeps the sequential code paths.
+// Intermediate results are always factorized (delta columns, rows
+// materialized once at output, selects fused into fetches).
 struct ExecOptions {
   unsigned num_threads = 1;  // 0 = one worker per hardware thread
   // GraphMatcher plan-cache bound (entries). 0 disables caching.
@@ -116,8 +116,6 @@ class Executor {
     if (ResolveThreads(options.num_threads) > 1) {
       pool_ = std::make_unique<ThreadPool>(options.num_threads);
     }
-    scratch_.Configure(pool_ ? pool_->size() : 1,
-                       db->options().reach_cache_entries);
   }
 
   // Validates and runs `plan` for `pattern`. A pattern label absent from
@@ -142,9 +140,6 @@ class Executor {
   const GraphDatabase* db_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
-  // Per-worker reachability memos + reused probe buffers, threaded
-  // through the operators of every Execute call (see ExecScratch).
-  ExecScratch scratch_;
 };
 
 }  // namespace fgpm

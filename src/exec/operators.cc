@@ -113,6 +113,17 @@ uint64_t TemporalTablePages(const TemporalTable& table) {
   return (bytes + 8191) / 8192;
 }
 
+Result<bool> ProbeReach(const GraphDatabase& db, NodeId u, LabelId u_label,
+                        NodeId v, LabelId v_label, GraphCodeRecord* ru,
+                        GraphCodeRecord* rv, uint64_t* code_fetches) {
+  FGPM_RETURN_IF_ERROR(db.GetCodes(u, u_label, ru));
+  FGPM_RETURN_IF_ERROR(db.GetCodes(v, v_label, rv));
+  *code_fetches += 2;
+  // The intersection also decides same-component pairs, through the
+  // component's own center, so u == v needs no special case.
+  return SortedIntersects(ru->out, rv->in);
+}
+
 namespace {
 
 // Single fold point of the stats-delta protocol (see operators.h):
@@ -145,29 +156,22 @@ Status ScanBaseImpl(const GraphDatabase& db, const Pattern& pattern,
 Status HpsjBaseJoinImpl(const GraphDatabase& db, const Pattern& pattern,
                         const std::vector<LabelId>& node_labels, uint32_t edge,
                         TemporalTable* out, OperatorStats* stats,
-                        ThreadPool* pool, ExecScratch* scratch) {
+                        ThreadPool* pool) {
   const PatternEdge& e = pattern.edges()[edge];
   LabelId x = node_labels[e.from], y = node_labels[e.to];
 
   out->AddColumn(e.from);
   out->AddColumn(e.to);
 
-  // Borrowed-buffer W-table probe: the scratch vector's capacity is
-  // reused query over query; the span stays valid for the whole call
-  // (nothing below touches the scratch buffer).
-  std::vector<CenterId> local_centers;
-  std::vector<CenterId>* cbuf =
-      scratch ? &scratch->wtable_scratch : &local_centers;
-  FGPM_ASSIGN_OR_RETURN(std::span<const CenterId> centers,
-                        db.wtable().LookupSpan(x, y, cbuf));
+  std::vector<CenterId> centers;
+  FGPM_RETURN_IF_ERROR(db.wtable().Lookup(x, y, &centers));
   ++stats->wtable_lookups;
 
   // Every center's F(w, X) and T(w, Y), each read once in key order.
   SubclusterStore fstore, tstore;
-  const std::vector<CenterId> center_list(centers.begin(), centers.end());
-  FGPM_RETURN_IF_ERROR(fstore.Read(db.rjoin_index(), center_list,
+  FGPM_RETURN_IF_ERROR(fstore.Read(db.rjoin_index(), centers,
                                    RJoinIndex::Side::kF, x, pool));
-  FGPM_RETURN_IF_ERROR(tstore.Read(db.rjoin_index(), center_list,
+  FGPM_RETURN_IF_ERROR(tstore.Read(db.rjoin_index(), centers,
                                    RJoinIndex::Side::kT, y, pool));
   stats->cluster_fetches += fstore.size() + tstore.size();
 
@@ -307,7 +311,7 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
                        const std::vector<LabelId>& node_labels,
                        const std::vector<FilterItem>& items,
                        TemporalTable* table, OperatorStats* stats,
-                       ThreadPool* pool, ExecScratch* scratch) {
+                       ThreadPool* pool) {
   if (items.empty()) return Status::InvalidArgument("empty filter");
   stats->temporal_pages_read += TemporalTablePages(*table);
   const auto& edges = pattern.edges();
@@ -318,13 +322,7 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     LabelId col_label = 0;
     bool use_out = false;  // probe out(x) vs in(y)
   };
-  // W(X, Y) buffers hoisted into executor-owned scratch: their capacity
-  // survives across filter calls (and queries) instead of being
-  // reallocated per call.
-  std::vector<std::vector<CenterId>> local_wcenters;
-  std::vector<std::vector<CenterId>>& wcenters =
-      scratch ? scratch->wcenters_pool : local_wcenters;
-  if (wcenters.size() < items.size()) wcenters.resize(items.size());
+  std::vector<std::vector<CenterId>> wcenters(items.size());
   std::vector<ItemCtx> ctx(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     const PatternEdge& e = edges[items[i].edge];
@@ -338,18 +336,6 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     FGPM_RETURN_IF_ERROR(db.wtable().Lookup(
         node_labels[e.from], node_labels[e.to], &wcenters[i]));
     ++stats->wtable_lookups;
-  }
-
-  // Per-worker Xi memo: Xi(node, item) = code(node) ∩ W(X, Y) is a pure
-  // function of the probed node and the item, so cached center lists
-  // never change the output — only how often getCenters and the
-  // intersection run. Keys pack the item index into the low 12 bits;
-  // cleared here because item indexes are call-local.
-  const bool use_memo = scratch != nullptr && items.size() < 4096 &&
-                        !scratch->workers.empty() &&
-                        scratch->workers[0].filter_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.filter_memo.Clear();
   }
 
   const size_t ncols = table->NumColumns();
@@ -408,15 +394,12 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
     part.carried.resize(first_fresh);
     part.fresh_pool.resize(ctx.size());
     part.fresh_idx.resize(ctx.size());
-    ExecScratch::Worker* ws =
-        use_memo && wk < scratch->workers.size() ? &scratch->workers[wk]
-                                                 : nullptr;
     // One scan; one getCenters per (row, distinct column) shared across
     // items (Remark 3.1).
     std::unordered_map<size_t, GraphCodeRecord> col_codes;
@@ -439,34 +422,21 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
           }
           continue;
         }
-        uint32_t memo_slot = 0;
-        bool memo_hit = false;
-        if (ws != nullptr) {
-          uint64_t key = (static_cast<uint64_t>(node) << 12) | i;
-          memo_slot = ws->filter_memo.Acquire(key, &memo_hit);
-        }
-        if (memo_hit) {
-          xi = ws->xi_pool[memo_slot];  // Xi is a pure fn of (node, i)
-        } else {
-          auto it = col_codes.find(ctx[i].col);
-          if (it == col_codes.end()) {
-            GraphCodeRecord rec;
-            Status s = db.GetCodes(node, ctx[i].col_label, &rec);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            ++part.code_fetches;
-            it = col_codes.emplace(ctx[i].col, std::move(rec)).first;
+        auto it = col_codes.find(ctx[i].col);
+        if (it == col_codes.end()) {
+          GraphCodeRecord rec;
+          Status s = db.GetCodes(node, ctx[i].col_label, &rec);
+          if (!s.ok()) {
+            errs[c] = std::move(s);
+            return;
           }
-          const auto& code = ctx[i].use_out ? it->second.out : it->second.in;
-          // Hybrid kernel (galloping / SIMD merge) writing into the
-          // hoisted per-item buffer (capacity reused across rows;
-          // W(X, Y) is often much larger than a node's code, the
-          // galloping regime).
-          SortedIntersectInto(code, wcenters[i], &xi);
-          if (ws != nullptr) ws->xi_pool[memo_slot] = xi;
+          ++part.code_fetches;
+          it = col_codes.emplace(ctx[i].col, std::move(rec)).first;
         }
+        const auto& code = ctx[i].use_out ? it->second.out : it->second.in;
+        // Hybrid kernel (galloping / SIMD merge): W(X, Y) is often much
+        // larger than a node's code, the galloping regime.
+        SortedIntersectInto(code, wcenters[i], &xi);
         if (xi.empty()) {
           ok = false;  // sit->second stays -1 (known-empty)
         } else {
@@ -502,12 +472,6 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.filter_memo.probes();
-      stats->reach_memo_hits += w.filter_memo.hits();
-    }
   }
   for (size_t s = 0; s < first_fresh; ++s) {
     new_pending[s].row_index.reserve(kept_rows);
@@ -576,7 +540,7 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
                        bool bound_is_source, LabelId new_label,
                        PatternNodeId new_node, TemporalTable* table,
                        OperatorStats* stats, ThreadPool* pool,
-                       ExecScratch* scratch, size_t slot_idx,
+                       size_t slot_idx,
                        const std::vector<uint32_t>& fused_selects) {
   const auto& edges = pattern.edges();
   const size_t ncols = table->NumColumns();
@@ -661,12 +625,6 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
 
   // Phase 2: emit (parent, value) pairs per row, running fused select
   // predicates on each candidate before it is appended.
-  const bool use_memo = !fused.empty() && scratch != nullptr &&
-                        !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
-  }
   const size_t chunk = ChunkFor(nrows, pool, 256);
   const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
   struct ChunkOut {
@@ -679,19 +637,11 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
     part.kept.resize(kept_slots.size());
-    ExecScratch::Worker* ws =
-        scratch != nullptr && wk < scratch->workers.size()
-            ? &scratch->workers[wk]
-            : nullptr;
-    ReachMemo* memo =
-        use_memo && ws != nullptr ? &ws->select_memo : nullptr;
-    GraphCodeRecord local_rx, local_ry;
-    GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
-    GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
+    GraphCodeRecord rx, ry;
     for (size_t r = begin; r < end; ++r) {
       const std::vector<NodeId>& cand = expansions[ridx[r]];
       if (fused.empty()) {
@@ -711,28 +661,14 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
         for (const Fused& f : fused) {
           NodeId u = f.new_is_source ? v : f.other_vals[r];
           NodeId w2 = f.new_is_source ? f.other_vals[r] : v;
-          bool reachable;
-          uint32_t memo_slot = 0;
-          bool memo_hit = false;
-          if (memo != nullptr) {
-            memo_slot = memo->Acquire(PackPair(u, w2), &memo_hit);
+          Result<bool> reachable = ProbeReach(db, u, f.from_label, w2,
+                                              f.to_label, &rx, &ry,
+                                              &part.code_fetches);
+          if (!reachable.ok()) {
+            errs[c] = reachable.status();
+            return;
           }
-          if (memo_hit) {
-            reachable = memo->value(memo_slot) != 0;
-          } else {
-            Status s = db.GetCodes(u, f.from_label, &rx);
-            if (s.ok()) s = db.GetCodes(w2, f.to_label, &ry);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            part.code_fetches += 2;
-            reachable = SortedIntersects(rx.out, ry.in);
-            if (memo != nullptr) {
-              memo->set_value(memo_slot, reachable ? 1u : 0u);
-            }
-          }
-          if (!reachable) {
+          if (!*reachable) {
             pass = false;
             break;
           }
@@ -758,12 +694,6 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
-    }
   }
 
   TemporalTable::DeltaColumn& d = table->AddDeltaColumn(new_node);
@@ -794,7 +724,6 @@ Status ApplyFetchImpl(const GraphDatabase& db, const Pattern& pattern,
                       const std::vector<LabelId>& node_labels, uint32_t edge,
                       bool bound_is_source, TemporalTable* table,
                       OperatorStats* stats, ThreadPool* pool,
-                      ExecScratch* scratch,
                       const std::vector<uint32_t>& fused_selects) {
   auto slot_idx = table->PendingSlotFor(edge, bound_is_source);
   if (!slot_idx) return Status::InvalidArgument("fetch without filter");
@@ -803,29 +732,18 @@ Status ApplyFetchImpl(const GraphDatabase& db, const Pattern& pattern,
   PatternNodeId new_node = bound_is_source ? e.to : e.from;
   LabelId new_label = node_labels[new_node];
   return FetchFactorized(db, pattern, node_labels, bound_is_source, new_label,
-                         new_node, table, stats, pool, scratch, *slot_idx,
+                         new_node, table, stats, pool, *slot_idx,
                          fused_selects);
 }
 
 Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
                        const std::vector<LabelId>& node_labels, uint32_t edge,
                        TemporalTable* table, OperatorStats* stats,
-                       ThreadPool* pool, ExecScratch* scratch) {
+                       ThreadPool* pool) {
   const PatternEdge& e = pattern.edges()[edge];
   auto cx = table->ColumnOf(e.from), cy = table->ColumnOf(e.to);
   if (!cx || !cy) return Status::InvalidArgument("select columns not bound");
   stats->temporal_pages_read += TemporalTablePages(*table);
-
-  // Per-worker reachability memo: a select's verdict for (u, v) is a
-  // pure function of the node pair, so a hit skips both getCenters
-  // calls and the code intersection without changing which rows
-  // survive. Joins frequently revisit pairs (a fetch multiplies rows
-  // without changing the bound pair), making repeats common.
-  const bool use_memo = scratch != nullptr && !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
-  }
 
   const size_t ncols = table->NumColumns();
   const size_t nrows = table->NumRows();
@@ -853,46 +771,23 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
     part.kept.resize(table->pending().size());
-    ExecScratch::Worker* ws =
-        scratch != nullptr && wk < scratch->workers.size()
-            ? &scratch->workers[wk]
-            : nullptr;
-    ReachMemo* memo =
-        ws != nullptr && ws->select_memo.enabled() ? &ws->select_memo
-                                                   : nullptr;
-    GraphCodeRecord local_rx, local_ry;
-    GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
-    GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
+    GraphCodeRecord rx, ry;
     for (size_t r = begin; r < end; ++r) {
       ++part.rows_scanned;
       NodeId u = chained ? gx[r] : rows[r * ncols + *cx];
       NodeId v = chained ? gy[r] : rows[r * ncols + *cy];
-      bool reachable;
-      uint32_t memo_slot = 0;
-      bool memo_hit = false;
-      if (memo != nullptr) {
-        memo_slot = memo->Acquire(PackPair(u, v), &memo_hit);
+      Result<bool> reachable =
+          ProbeReach(db, u, node_labels[e.from], v, node_labels[e.to], &rx,
+                     &ry, &part.code_fetches);
+      if (!reachable.ok()) {
+        errs[c] = reachable.status();
+        return;
       }
-      if (memo_hit) {
-        reachable = memo->value(memo_slot) != 0;
-      } else {
-        Status s = db.GetCodes(u, node_labels[e.from], &rx);
-        if (s.ok()) s = db.GetCodes(v, node_labels[e.to], &ry);
-        if (!s.ok()) {
-          errs[c] = std::move(s);
-          return;
-        }
-        part.code_fetches += 2;
-        // Labels differ, so u != v; the code intersection decides (it
-        // covers same-SCC pairs through the shared component center).
-        reachable = SortedIntersects(rx.out, ry.in);
-        if (memo != nullptr) memo->set_value(memo_slot, reachable ? 1u : 0u);
-      }
-      if (!reachable) {
+      if (!*reachable) {
         ++part.rows_pruned;
         continue;
       }
@@ -920,12 +815,6 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
       new_pending[s].row_index.insert(new_pending[s].row_index.end(),
                                       part.kept[s].begin(),
                                       part.kept[s].end());
-    }
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
     }
   }
   if (chained) {
@@ -974,21 +863,20 @@ Status ScanBase(const GraphDatabase& db, const Pattern& pattern,
 Status HpsjBaseJoin(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, uint32_t edge,
                     TemporalTable* out, OperatorStats* stats,
-                    ThreadPool* pool, ExecScratch* scratch) {
+                    ThreadPool* pool) {
   OperatorStats local;
   return FoldStats(HpsjBaseJoinImpl(db, pattern, node_labels, edge, out,
-                                    &local, pool, scratch),
+                                    &local, pool),
                    stats, local);
 }
 
 Status ApplyFilter(const GraphDatabase& db, const Pattern& pattern,
                    const std::vector<LabelId>& node_labels,
                    const std::vector<FilterItem>& items, TemporalTable* table,
-                   OperatorStats* stats, ThreadPool* pool,
-                   ExecScratch* scratch) {
+                   OperatorStats* stats, ThreadPool* pool) {
   OperatorStats local;
   return FoldStats(ApplyFilterImpl(db, pattern, node_labels, items, table,
-                                   &local, pool, scratch),
+                                   &local, pool),
                    stats, local);
 }
 
@@ -996,22 +884,21 @@ Status ApplyFetch(const GraphDatabase& db, const Pattern& pattern,
                   const std::vector<LabelId>& node_labels, uint32_t edge,
                   bool bound_is_source, TemporalTable* table,
                   OperatorStats* stats, ThreadPool* pool,
-                  ExecScratch* scratch,
                   const std::vector<uint32_t>& fused_selects) {
   OperatorStats local;
   return FoldStats(
       ApplyFetchImpl(db, pattern, node_labels, edge, bound_is_source, table,
-                     &local, pool, scratch, fused_selects),
+                     &local, pool, fused_selects),
       stats, local);
 }
 
 Status ApplySelect(const GraphDatabase& db, const Pattern& pattern,
                    const std::vector<LabelId>& node_labels, uint32_t edge,
                    TemporalTable* table, OperatorStats* stats,
-                   ThreadPool* pool, ExecScratch* scratch) {
+                   ThreadPool* pool) {
   OperatorStats local;
   return FoldStats(ApplySelectImpl(db, pattern, node_labels, edge, table,
-                                   &local, pool, scratch),
+                                   &local, pool),
                    stats, local);
 }
 

@@ -24,11 +24,11 @@
 // produced ROWS — and each row's pending center list CentersFor(r) —
 // are identical for every thread count, including the sequential
 // pool == nullptr path. The internal pending-pool layout may differ
-// with chunking (pools deduplicate per chunk), as may the memo-affected
-// work counters: code_fetches and reach_memo_* depend on how rows were
-// partitioned across chunks/workers (cluster_fetches does not). The produced rows never do —
-// dedup and memoization only short-circuit recomputations whose result
-// is a pure function of the probed node (pair).
+// with chunking (pools deduplicate per chunk), and so may code_fetches:
+// the filter and the WCOJ bind fetch a probed node's codes once per
+// chunk that sees it (cluster_fetches does not depend on chunking).
+// The produced rows never do — the dedup only short-circuits
+// recomputations whose result is a pure function of the probed node.
 #ifndef FGPM_EXEC_OPERATORS_H_
 #define FGPM_EXEC_OPERATORS_H_
 
@@ -42,7 +42,6 @@
 #include "exec/temporal_table.h"
 #include "gdb/database.h"
 #include "query/pattern.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
@@ -62,8 +61,8 @@ struct OperatorStats {
   // so DP-vs-DPS I/O comparisons mean what they meant in the paper.
   uint64_t temporal_pages_read = 0;
   uint64_t temporal_pages_written = 0;
-  // Per-query reachability memo traffic (filter Xi cache + select
-  // verdict cache). Zero when no ExecScratch / disabled memos.
+  // Always 0: reach probes are not memoized. Kept because the
+  // benchmark program reads them (exec.reach_memo_hit_ratio).
   uint64_t reach_memo_probes = 0;
   uint64_t reach_memo_hits = 0;
   // Materialization accounting: full-width rows written into temporal
@@ -95,59 +94,11 @@ struct OperatorStats {
     wtable_lookups += o.wtable_lookups;
     temporal_pages_read += o.temporal_pages_read;
     temporal_pages_written += o.temporal_pages_written;
-    reach_memo_probes += o.reach_memo_probes;
-    reach_memo_hits += o.reach_memo_hits;
     rows_materialized += o.rows_materialized;
     copy_bytes_avoided += o.copy_bytes_avoided;
     kway_intersect_probes += o.kway_intersect_probes;
     kway_intersect_hits += o.kway_intersect_hits;
     wcoj_reach_pruned += o.wcoj_reach_pruned;
-  }
-};
-
-// Operator-owned scratch the Executor threads through a query: per-
-// worker reachability memos (cleared per query) plus reusable buffers
-// that hoist per-call allocations out of the hot probe loops. Operators
-// accept scratch == nullptr (tests and benches calling them directly)
-// and fall back to local temporaries.
-struct ExecScratch {
-  struct Worker {
-    // ApplySelect + fused fetch selects: PackPair(u, v) -> verdict.
-    ReachMemo select_memo;
-    // ApplyFilter: (node << 8 | item) -> Xi slot. The memo slot index
-    // doubles as the xi_pool index, so cached center lists are bounded
-    // by the memo capacity. Cleared at the start of every filter call
-    // (item indexes are call-local).
-    ReachMemo filter_memo;
-    std::vector<std::vector<CenterId>> xi_pool;
-    GraphCodeRecord rx, ry;  // reused decoded-code records
-  };
-  std::vector<Worker> workers;
-  // W(X, Y) probe buffers, reused call over call (capacity persists):
-  // one for HPSJ's borrowed-buffer LookupSpan, one pool for filter items.
-  std::vector<CenterId> wtable_scratch;
-  std::vector<std::vector<CenterId>> wcenters_pool;
-
-  // Sizes per-worker state; entries == 0 disables both memos.
-  void Configure(unsigned num_workers, size_t entries) {
-    workers.assign(std::max(1u, num_workers), Worker{});
-    for (Worker& w : workers) {
-      w.select_memo.Reset(entries);
-      w.filter_memo.Reset(entries);
-      w.xi_pool.assign(w.filter_memo.capacity(), {});
-    }
-  }
-
-  // Per-query reset: memos are operator-call-scoped anyway (each
-  // operator clears at entry and folds its traffic into OperatorStats
-  // at exit), but clearing here too keeps stale verdicts from ever
-  // crossing a query boundary (e.g. after an edge insert). O(1) per
-  // worker via epochs.
-  void BeginQuery() {
-    for (Worker& w : workers) {
-      w.select_memo.Clear();
-      w.filter_memo.Clear();
-    }
   }
 };
 
@@ -189,6 +140,15 @@ class SubclusterStore {
 // (base block + delta levels + per-row pending center lists).
 uint64_t TemporalTablePages(const TemporalTable& table);
 
+// The reachability probe of Eq. 5, shared by the select, the selects
+// fused into a fetch, the WCOJ bind's probed constraints and
+// containment replay: u reaches v iff out(u) ∩ in(v) is non-empty.
+// Reads both codes into the caller's buffers (their capacity carries
+// over from probe to probe) and adds the two fetches to *code_fetches.
+Result<bool> ProbeReach(const GraphDatabase& db, NodeId u, LabelId u_label,
+                        NodeId v, LabelId v_label, GraphCodeRecord* ru,
+                        GraphCodeRecord* rv, uint64_t* code_fetches);
+
 // node_labels[i]: data-graph LabelId for pattern node i. Callers must
 // have verified all labels exist (missing label => empty result upstream).
 // Opens a plan with one base table: a single-column temporal table of
@@ -202,13 +162,12 @@ Status ScanBase(const GraphDatabase& db, const Pattern& pattern,
 Status HpsjBaseJoin(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, uint32_t edge,
                     TemporalTable* out, OperatorStats* stats,
-                    ThreadPool* pool = nullptr, ExecScratch* scratch = nullptr);
+                    ThreadPool* pool = nullptr);
 
 Status ApplyFilter(const GraphDatabase& db, const Pattern& pattern,
                    const std::vector<LabelId>& node_labels,
                    const std::vector<FilterItem>& items, TemporalTable* table,
-                   OperatorStats* stats, ThreadPool* pool = nullptr,
-                   ExecScratch* scratch = nullptr);
+                   OperatorStats* stats, ThreadPool* pool = nullptr);
 
 // `fused_selects`: pattern edges whose other endpoint is already bound,
 // evaluated per candidate inside the expansion loop — rejected
@@ -217,13 +176,12 @@ Status ApplyFetch(const GraphDatabase& db, const Pattern& pattern,
                   const std::vector<LabelId>& node_labels, uint32_t edge,
                   bool bound_is_source, TemporalTable* table,
                   OperatorStats* stats, ThreadPool* pool = nullptr,
-                  ExecScratch* scratch = nullptr,
                   const std::vector<uint32_t>& fused_selects = {});
 
 Status ApplySelect(const GraphDatabase& db, const Pattern& pattern,
                    const std::vector<LabelId>& node_labels, uint32_t edge,
                    TemporalTable* table, OperatorStats* stats,
-                   ThreadPool* pool = nullptr, ExecScratch* scratch = nullptr);
+                   ThreadPool* pool = nullptr);
 
 }  // namespace fgpm
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/hash.h"
 #include "common/intersect_kernels.h"
 #include "common/sorted_vector.h"
 
@@ -83,8 +82,7 @@ struct Expansion {
 Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
                          const std::vector<LabelId>& node_labels,
                          const PlanStep& step, TemporalTable* table,
-                         OperatorStats* stats, ThreadPool* pool,
-                         ExecScratch* scratch) {
+                         OperatorStats* stats, ThreadPool* pool) {
   if (step.wcoj_edges.empty()) {
     return Status::InvalidArgument("bind step without constraints");
   }
@@ -98,12 +96,8 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     return Status::InvalidArgument("bind step with more than 64 constraints");
   }
 
-  // Resolve each constraint and prefetch its W(X, Y) center list into
-  // the executor-owned pool (capacity persists across calls).
-  std::vector<std::vector<CenterId>> local_wcenters;
-  std::vector<std::vector<CenterId>>& wcenters =
-      scratch ? scratch->wcenters_pool : local_wcenters;
-  if (wcenters.size() < k) wcenters.resize(k);
+  // Resolve each constraint and prefetch its W(X, Y) center list.
+  std::vector<std::vector<CenterId>> wcenters(k);
   std::vector<ConstraintCtx> ctx(k);
   for (size_t i = 0; i < k; ++i) {
     const PatternEdge& e = edges[step.wcoj_edges[i]];
@@ -157,12 +151,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   std::vector<TemporalTable::PendingSlot> new_pending;
   for (const auto& slot : table->pending()) {
     new_pending.push_back({slot.edge, slot.bound_is_source, slot.pool, {}});
-  }
-
-  const bool use_memo = scratch != nullptr && !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
   }
 
   // Row chunks: the same decomposition for every pass below, so a
@@ -355,18 +343,11 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
 
   // Pass 3: per surviving row, intersect the expanded constraints (the
   // driver first) and verify the rest by reachability probes.
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
     part.kept.resize(new_pending.size());
-    ExecScratch::Worker* ws =
-        scratch != nullptr && wk < scratch->workers.size()
-            ? &scratch->workers[wk]
-            : nullptr;
-    ReachMemo* memo = use_memo && ws != nullptr ? &ws->select_memo : nullptr;
-    GraphCodeRecord local_rx, local_ry;
-    GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
-    GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
+    GraphCodeRecord rx, ry;
     std::vector<uint32_t> out_buf, tmp_buf;
     std::vector<SortedSetView> views;
     std::vector<size_t> probe_idx;
@@ -414,30 +395,15 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
               chained ? colv[i][r] : rows[r * ncols + ctx[i].col];
           const NodeId u = ctx[i].forward ? bound_node : v;
           const NodeId w2 = ctx[i].forward ? v : bound_node;
-          bool reachable;
-          uint32_t memo_slot = 0;
-          bool memo_hit = false;
-          if (memo != nullptr) {
-            memo_slot = memo->Acquire(PackPair(u, w2), &memo_hit);
+          const LabelId ul = ctx[i].forward ? ctx[i].col_label : new_label;
+          const LabelId wl = ctx[i].forward ? new_label : ctx[i].col_label;
+          Result<bool> reachable =
+              ProbeReach(db, u, ul, w2, wl, &rx, &ry, &part.code_fetches);
+          if (!reachable.ok()) {
+            errs[c] = reachable.status();
+            return;
           }
-          if (memo_hit) {
-            reachable = memo->value(memo_slot) != 0;
-          } else {
-            const LabelId ul = ctx[i].forward ? ctx[i].col_label : new_label;
-            const LabelId wl = ctx[i].forward ? new_label : ctx[i].col_label;
-            Status s = db.GetCodes(u, ul, &rx);
-            if (s.ok()) s = db.GetCodes(w2, wl, &ry);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            part.code_fetches += 2;
-            reachable = SortedIntersects(rx.out, ry.in);
-            if (memo != nullptr) {
-              memo->set_value(memo_slot, reachable ? 1u : 0u);
-            }
-          }
-          if (!reachable) {
+          if (!*reachable) {
             pass = false;
             break;
           }
@@ -469,12 +435,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     stats->kway_intersect_hits += part.kway.hits;
     stats->wcoj_reach_pruned += part.reach_pruned;
   }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
-    }
-  }
 
   for (auto& slot : new_pending) slot.row_index.reserve(out_rows);
   TemporalTable::DeltaColumn& d = table->AddDeltaColumn(new_node);
@@ -501,11 +461,10 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
 Status ApplyWcojBind(const GraphDatabase& db, const Pattern& pattern,
                      const std::vector<LabelId>& node_labels,
                      const PlanStep& step, TemporalTable* table,
-                     OperatorStats* stats, ThreadPool* pool,
-                     ExecScratch* scratch) {
+                     OperatorStats* stats, ThreadPool* pool) {
   OperatorStats local;
   return FoldStats(ApplyWcojBindImpl(db, pattern, node_labels, step, table,
-                                     &local, pool, scratch),
+                                     &local, pool),
                    stats, local);
 }
 

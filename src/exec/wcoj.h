@@ -12,7 +12,7 @@
 // via IntersectKWayU32 (bitmap sidecars are built over large expansions
 // so the k-way primitive can take its bitmap-AND fast path), and
 // expansions that would dwarf the driver degrade to per-candidate
-// reachability probes through the per-worker select ReachMemo.
+// reachability probes (ProbeReach, the select's code intersection).
 //
 // Expansions are memoized per (probed node, constraint) within a row
 // chunk — rows repeating a bound node share one expansion, mirroring
@@ -22,8 +22,8 @@
 // reading the subclusters it needs once, in key order, through a
 // SubclusterStore. Chunks emit into local buffers merged in chunk
 // order, so the produced rows — and the subclusters read — are
-// identical for every thread count (the memo-affected counters are
-// not).
+// identical for every thread count (code_fetches is not: the entry
+// memo is chunk-local).
 //
 // The bound vertex becomes a new delta level of the factorized table.
 // Pending filter slots (hybrid plans can bind mid-pipeline) are carried
@@ -45,13 +45,12 @@ namespace fgpm {
 
 // Binds step.scan_node using the constraint edges in step.wcoj_edges
 // (every edge's other endpoint must already be a column of `table`).
-// Follows the operator contract of operators.h: optional pool/scratch,
-// stats folded once on success, deterministic rows at any thread count.
+// Follows the operator contract of operators.h: optional pool, stats
+// folded once on success, deterministic rows at any thread count.
 Status ApplyWcojBind(const GraphDatabase& db, const Pattern& pattern,
                      const std::vector<LabelId>& node_labels,
                      const PlanStep& step, TemporalTable* table,
-                     OperatorStats* stats, ThreadPool* pool = nullptr,
-                     ExecScratch* scratch = nullptr);
+                     OperatorStats* stats, ThreadPool* pool = nullptr);
 
 }  // namespace fgpm
 

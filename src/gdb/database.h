@@ -56,10 +56,6 @@ struct GraphDatabaseOptions {
   // loops). 0 keeps every probe on the flat sorted arrays. See
   // kDefaultCodeBitmapThreshold.
   uint32_t code_bitmap_threshold = kDefaultCodeBitmapThreshold;
-  // Entries in each per-worker reachability memo the executor consults
-  // from the HPSJ filter and select operators (rounded up to a power of
-  // two). The memo is cleared per query; 0 disables memoization.
-  size_t reach_cache_entries = 65536;
   // Label ownership filter for sharded serving (src/shard). Empty = own
   // every label (the default, and the only mode non-sharded callers
   // use). When set (one byte per label, nonzero = owned), Build still

@@ -2,8 +2,8 @@
 // and records one span per plan step (plus a root span for the query
 // and child spans for selects fused into a fetch): wall time against
 // the trace's own epoch, process CPU time, and a flat list of named
-// counter deltas the instrumenting layer attaches (rows in/out, reach
-// memo probes/hits, W-table lookups, buffer-pool and code-cache
+// counter deltas the instrumenting layer attaches (rows in/out, code
+// fetches, W-table lookups, buffer-pool and code-cache
 // hit/miss deltas — the stats-delta protocol described in DESIGN.md).
 // Spans are generic name/value records so this layer depends on nothing
 // above common/; the executor translates OperatorStats / IoSnapshot

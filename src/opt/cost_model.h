@@ -43,10 +43,10 @@ struct CostParams {
   // code probe + cluster expansion).
   double cpu_per_intersect_probe = 0.0002;
   double wcoj_memo_miss = 0.25;
-  // Result-cache replay: expected fraction of per-row residual-edge
-  // probes that miss the replay's reachability memo (repeated node
-  // pairs collapse into one code intersection, exactly like the select
-  // operator's memo).
+  // Result-cache replay: scale on the per-row residual-edge probe
+  // charge. An unfitted constant: replay probes are not memoized, so
+  // every row pays its probes; the value stays so replay-vs-recompute
+  // decisions do not move until cost calibration fits it.
   double replay_memo_miss = 0.25;
 };
 
@@ -92,9 +92,9 @@ class CostModel {
   double MaterializeCost(double rows, int width) const;
   // Cost of answering a query by filtering `rows` cached result rows of
   // `arity` columns down through `residual_edges` per-row reachability
-  // probes (result-cache containment replay; memo-discounted like
-  // selects). Compared against a fresh plan's estimated_cost to decide
-  // replay vs recompute.
+  // probes (result-cache containment replay, each probe scaled by
+  // replay_memo_miss). Compared against a fresh plan's estimated_cost to
+  // decide replay vs recompute.
   double ReplayCost(double rows, int arity, int residual_edges) const;
 
  private:

@@ -44,7 +44,7 @@ struct PlanExplanation {
   // but none materialized), per-step wall time (ExecStats::step_wall_ms;
   // a select absorbed into a fused fetch shows "[fused]" and "-" since
   // its time is inside the fetch's entry), followed by the
-  // materialization / memo / temporal-I/O and buffer-pool / code-cache
+  // materialization / temporal-I/O and buffer-pool / code-cache
   // counters. Makes a plan regression diagnosable from one dump.
   std::string ToStringWithActuals(const ExecStats& stats) const;
 };

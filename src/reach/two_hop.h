@@ -56,7 +56,6 @@
 #include "common/serialize.h"
 #include "common/sorted_vector.h"
 #include "graph/graph.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
@@ -90,24 +89,6 @@ class TwoHopLabeling {
     if (u == v) return true;
     const CenterId cu = scc_of_[u], cv = scc_of_[v];
     if (cu == cv) return true;
-    return ProbeCodes(cu, cv);
-  }
-
-  // Memoized variant: consults/updates the per-query memo, keyed on the
-  // component pair so every member pair of the same components shares
-  // one cached verdict. `memo` may be null or disabled (plain probe).
-  bool Reaches(NodeId u, NodeId v, ReachMemo* memo) const {
-    if (u == v) return true;
-    const CenterId cu = scc_of_[u], cv = scc_of_[v];
-    if (cu == cv) return true;
-    if (memo && memo->enabled()) {
-      bool hit = false;
-      const uint32_t slot = memo->Acquire(ReachMemo::PackKey(cu, cv), &hit);
-      if (hit) return memo->value(slot) != 0;
-      const bool r = ProbeCodes(cu, cv);
-      memo->set_value(slot, r ? 1u : 0u);
-      return r;
-    }
     return ProbeCodes(cu, cv);
   }
 

@@ -263,25 +263,27 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
     cs->subqueries += plan.subs.size();
   } else {
     // Every edge crosses shards: materialize one cross edge HPSJ-style
-    // from both shards' subcluster spans per shared center.
+    // from both shards' subclusters of every shared center, each read
+    // once in key order.
     const PatternEdge& e = plan.cross_edges.front();
     std::vector<CenterId> wscratch;
     FGPM_ASSIGN_OR_RETURN(std::span<const CenterId> W,
                           wcenters(e.from, e.to, &wscratch));
     cs->filters_shipped += 1;
     cs->filter_ids += W.size();
+    const std::vector<CenterId> centers(W.begin(), W.end());
+    SubclusterStore fstore, tstore;
+    FGPM_RETURN_IF_ERROR(
+        fstore.Read(shards_[shard_of(e.from)]->db().rjoin_index(), centers,
+                    RJoinIndex::Side::kF, labels[e.from], nullptr));
+    FGPM_RETURN_IF_ERROR(
+        tstore.Read(shards_[shard_of(e.to)]->db().rjoin_index(), centers,
+                    RJoinIndex::Side::kT, labels[e.to], nullptr));
+    cs->cluster_fetches += fstore.size() + tstore.size();
     std::vector<uint64_t> pairs;
-    std::vector<NodeId> fbuf, tbuf;
-    for (CenterId w : W) {
-      FGPM_RETURN_IF_ERROR(
-          shards_[shard_of(e.from)]->db().rjoin_index().GetF(w, labels[e.from],
-                                                             &fbuf));
-      FGPM_RETURN_IF_ERROR(
-          shards_[shard_of(e.to)]->db().rjoin_index().GetT(w, labels[e.to],
-                                                           &tbuf));
-      cs->cluster_fetches += 2;
-      for (NodeId a : fbuf) {
-        for (NodeId b : tbuf) pairs.push_back(PackPair(a, b));
+    for (size_t i = 0; i < centers.size(); ++i) {
+      for (NodeId a : fstore.At(i)) {
+        for (NodeId b : tstore.At(i)) pairs.push_back(PackPair(a, b));
       }
     }
     std::sort(pairs.begin(), pairs.end());
@@ -446,7 +448,7 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
                           wcenters(e.from, e.to, &wscratch));
 
     // Shipped filter per distinct bound value, plus the union of its
-    // centers to fetch each remote subcluster exactly once.
+    // centers to read each remote subcluster exactly once, in key order.
     std::vector<NodeId> bvals = distinct_column(rows, bcol);
     std::unordered_map<NodeId, std::vector<CenterId>> filt;
     std::vector<CenterId> needed;
@@ -464,29 +466,19 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
     std::sort(needed.begin(), needed.end());
     needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
 
-    const RJoinIndex& idx = shards_[shard_of(unode)]->db().rjoin_index();
-    std::unordered_map<CenterId, std::vector<NodeId>> cluster;
-    std::vector<NodeId> cbuf;
-    for (CenterId w : needed) {
-      if (forward) {
-        FGPM_RETURN_IF_ERROR(idx.GetT(w, labels[unode], &cbuf));
-      } else {
-        FGPM_RETURN_IF_ERROR(idx.GetF(w, labels[unode], &cbuf));
-      }
-      cs->cluster_fetches += 1;
-      cluster.emplace(w, cbuf);
-    }
+    SubclusterStore store;
+    FGPM_RETURN_IF_ERROR(
+        store.Read(shards_[shard_of(unode)]->db().rjoin_index(),
+                   std::move(needed),
+                   forward ? RJoinIndex::Side::kT : RJoinIndex::Side::kF,
+                   labels[unode], nullptr));
+    cs->cluster_fetches += store.size();
 
     // Candidate set per distinct bound value (dedup'd), then extend.
     std::unordered_map<NodeId, std::vector<NodeId>> cands;
     for (NodeId a : bvals) {
       std::vector<NodeId> c;
-      for (CenterId w : filt[a]) {
-        const auto& cl = cluster[w];
-        c.insert(c.end(), cl.begin(), cl.end());
-      }
-      std::sort(c.begin(), c.end());
-      c.erase(std::unique(c.begin(), c.end()), c.end());
+      store.Expand(filt[a], &c);
       cands.emplace(a, std::move(c));
     }
     std::vector<std::vector<NodeId>> extended;

@@ -468,6 +468,58 @@ TEST_F(ExecFixture, FetchReadsEachDistinctCenterOnce) {
   }
 }
 
+// Every reach probe of a select, standalone or fused into the fetch
+// that binds one of its endpoints, reads both endpoints' codes: a
+// select's code_fetches are twice the candidates it probed, at any
+// thread count, even though the same (u, v) pair recurs across rows.
+TEST_F(ExecFixture, SelectFetchesTwoCodesPerProbedCandidate) {
+  BuildDb(gen::ErdosRenyi(120, 200, 4, 31));
+  auto p = Pattern::Parse("L0->L1; L1->L2; L0->L2; L2->L3");
+  ASSERT_TRUE(p.ok());
+  // Several L1 nodes join one L0 node to one L2 node, so the fused
+  // select sees each (L0, L2) pair more than once.
+  auto paths = NaiveMatch(*graph_, *Pattern::Parse("L0->L1; L1->L2"));
+  ASSERT_TRUE(paths.ok());
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  for (const auto& row : paths->rows) pairs.insert({row[0], row[2]});
+  ASSERT_GT(paths->rows.size(), pairs.size());
+
+  Plan fused;  // SELECT(L0->L2) runs inside FETCH(L1->L2)
+  fused.steps = {PlanStep::HpsjBase(0), PlanStep::Filter({{1, true}}),
+                 PlanStep::Fetch(1, true), PlanStep::Select(2),
+                 PlanStep::Filter({{3, true}}), PlanStep::Fetch(3, true)};
+  Plan standalone;  // the filter between fetch and select blocks fusion
+  standalone.steps = {PlanStep::HpsjBase(0), PlanStep::Filter({{1, true}}),
+                      PlanStep::Fetch(1, true), PlanStep::Filter({{3, true}}),
+                      PlanStep::Select(2), PlanStep::Fetch(3, true)};
+  const std::pair<const Plan*, std::string> cases[] = {
+      {&fused, "FETCH(L1->L2)"}, {&standalone, "SELECT(L0->L2)"}};
+  for (unsigned threads : {1u, 4u}) {
+    ExecOptions opts;
+    opts.num_threads = threads;
+    opts.trace_level = 1;
+    Executor exec(db_.get(), opts);
+    for (const auto& [plan, span_name] : cases) {
+      auto r = exec.Execute(*p, *plan);
+      ASSERT_TRUE(r.ok()) << r.status();
+      ASSERT_NE(r->stats.trace, nullptr);
+      const TraceSpan* span = nullptr;
+      for (const TraceSpan& s : r->stats.trace->spans()) {
+        if (s.name == span_name) span = &s;
+      }
+      ASSERT_NE(span, nullptr) << span_name;
+      const uint64_t* probed = span->FindArg("rows_scanned");
+      const uint64_t* fetched = span->FindArg("code_fetches");
+      ASSERT_NE(probed, nullptr) << span_name;
+      ASSERT_NE(fetched, nullptr) << span_name;
+      if (plan == &fused) {
+        EXPECT_EQ(*probed, paths->rows.size());
+      }
+      EXPECT_EQ(*fetched, 2 * *probed) << span_name << " threads=" << threads;
+    }
+  }
+}
+
 TEST_F(ExecFixture, TemporalIoChargedPerPass) {
   BuildDb(PaperFigure1());
   auto p = Pattern::Parse("B->C; C->D");

@@ -201,6 +201,40 @@ TEST(ShardedMatcherTest, CrossShardStatsAccountShipping) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(stats.cross_edges, 0u);
   EXPECT_GT(stats.filters_shipped + stats.probe_pairs, 0u);
+
+  // Every edge of the chain crosses shards, so the join seeds from
+  // L0->L1 (F and T subclusters of every W(L0, L1) center) and binds L2
+  // by expanding the distinct L1 values through W(L1, L2): one read per
+  // distinct (center, side).
+  auto direct = GraphMatcher::Create(&g);
+  ASSERT_TRUE(direct.ok());
+  const GraphDatabase& db = (*direct)->db();
+  const LabelId l0 = *db.catalog().FindLabel("L0");
+  const LabelId l1 = *db.catalog().FindLabel("L1");
+  const LabelId l2 = *db.catalog().FindLabel("L2");
+  std::vector<CenterId> w01, w12;
+  ASSERT_TRUE(db.wtable().Lookup(l0, l1, &w01).ok());
+  ASSERT_TRUE(db.wtable().Lookup(l1, l2, &w12).ok());
+  auto seeded = (*direct)->Match("L0->L1");
+  ASSERT_TRUE(seeded.ok());
+  ASSERT_FALSE(seeded->rows.empty());
+  std::vector<CenterId> expanded;
+  for (const auto& row : seeded->rows) {
+    GraphCodeRecord rec;
+    ASSERT_TRUE(db.GetCodes(row[1], l1, &rec).ok());
+    for (CenterId w : rec.out) {
+      if (std::binary_search(w12.begin(), w12.end(), w)) {
+        expanded.push_back(w);
+      }
+    }
+  }
+  std::sort(expanded.begin(), expanded.end());
+  expanded.erase(std::unique(expanded.begin(), expanded.end()),
+                 expanded.end());
+  ASSERT_FALSE(expanded.empty());
+  EXPECT_EQ(stats.cluster_fetches, 2 * w01.size() + expanded.size());
+  EXPECT_EQ(SortedRows(std::move(r)),
+            SortedRows((*direct)->Match("L0->L1; L1->L2")));
 }
 
 TEST(ShardedMatcherTest, SingleShardPathSupportsBatchAndCaches) {
